@@ -25,7 +25,7 @@ printProfileTable(std::FILE *out, const ProfSnapshot &prof)
                  "cycle accounting  (%% of %llu elapsed ticks per "
                  "core)\n",
                  (unsigned long long)prof.elapsed);
-    std::fprintf(out, "  %-10s", "bucket");
+    std::fprintf(out, "  %-14s", "bucket");
     for (unsigned c = 0; c < cores; ++c)
         std::fprintf(out, "  core%-3u", c);
     std::fprintf(out, "      all\n");
@@ -34,7 +34,7 @@ printProfileTable(std::FILE *out, const ProfSnapshot &prof)
         // Skip all-zero rows to keep small runs readable.
         if (!prof.bucketTotal(ProfBucket(b)))
             continue;
-        std::fprintf(out, "  %-10s", profBucketName(ProfBucket(b)));
+        std::fprintf(out, "  %-14s", profBucketName(ProfBucket(b)));
         for (unsigned c = 0; c < cores; ++c)
             std::fprintf(out, "  %6.2f%%",
                          100.0 * double(prof.cores[c][b]) / elapsed);
@@ -43,7 +43,7 @@ printProfileTable(std::FILE *out, const ProfSnapshot &prof)
                          (elapsed * (cores ? cores : 1)));
     }
 
-    std::fprintf(out, "  %-10s", "total");
+    std::fprintf(out, "  %-14s", "total");
     std::uint64_t all = 0;
     for (unsigned c = 0; c < cores; ++c) {
         std::uint64_t t = prof.coreTotal(c);

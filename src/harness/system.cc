@@ -337,6 +337,12 @@ System::wireHooks()
         ThreadCtx *t = threads_.at(th).get();
         unparkIfWaiting(t, ThreadState::WaitOrdered);
     };
+    txmgr_.threadOnCore = [this](ThreadId th) {
+        const ThreadCtx *t = threads_.at(th).get();
+        // A thread holding its core only to wait for an ordered-commit
+        // token is not making progress either.
+        return t->core != nullptr && t->state != ThreadState::WaitOrdered;
+    };
 }
 
 ProcId
@@ -579,6 +585,11 @@ System::run()
         if (vts_)
             vts_->drainAllCleanups();
     }
+    // A drained run ends at its last model event: the interval
+    // audit (or trace sample) pending when the last thread exited
+    // still runs, but must not stretch the time-weighted statistics
+    // or the cycle accounting.
+    const Tick end = drained ? eq_.lastModelTick() : eq_.curTick();
     if (auditor_.attached() && !crashed_)
         auditor_.checkAll("end", eq_.curTick());
     for (const auto &t : threads_) {
@@ -587,10 +598,10 @@ System::run()
                   t->id, int(t->state));
     }
     if (vts_)
-        vts_->finishStats(eq_.curTick());
-    // Close every core's accounting at the final queue tick so bucket
-    // totals sum to the elapsed simulated time.
-    profiler_.finish(eq_.curTick());
+        vts_->finishStats(end);
+    // Close every core's accounting at the end tick so bucket totals
+    // sum to the elapsed simulated time.
+    profiler_.finish(end);
     // Flush the final (partial) time-series interval after the last
     // event, before any front end snapshots the registry.
     if (timeseries_)

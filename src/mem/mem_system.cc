@@ -212,13 +212,23 @@ MemSystem::trySync(const Access &acc)
 void
 MemSystem::request(const Access &acc, AccessCallback cb)
 {
-    Tick treq = eq_.curTick() + params_.l1Latency + params_.l2Latency;
+    sendToBus(acc, std::move(cb),
+          eq_.curTick() + params_.l1Latency + params_.l2Latency, 0,
+          false);
+}
+
+void
+MemSystem::sendToBus(const Access &acc, AccessCallback cb, Tick when,
+                     unsigned attempt, bool waited)
+{
     Tick occupancy = params_.busLatency +
                      (wordMode() ? params_.wordCoherenceOverhead : 0);
-    Tick grant = bus_.reserve(blockAlign(acc.paddr), treq, occupancy);
+    Tick grant = bus_.reserve(blockAlign(acc.paddr), when, occupancy);
     eq_.schedule(grant, EventPriority::Memory,
-                 [this, acc, cb = std::move(cb), grant]() mutable {
-                     processGrant(acc, std::move(cb), grant, 0);
+                 [this, acc, cb = std::move(cb), grant, attempt,
+                  waited]() mutable {
+                     processGrant(acc, std::move(cb), grant, attempt,
+                                  waited);
                  });
 }
 
@@ -229,25 +239,54 @@ MemSystem::scheduleRetry(const Access &acc, AccessCallback cb, Tick when,
     panic_if(attempt > maxRetries,
              "access to %#llx stalled forever (cleanup deadlock?)",
              (unsigned long long)acc.paddr);
-    Tick occupancy = params_.busLatency +
-                     (wordMode() ? params_.wordCoherenceOverhead : 0);
-    Tick grant = bus_.reserve(blockAlign(acc.paddr), when, occupancy);
-    eq_.schedule(grant, EventPriority::Memory,
-                 [this, acc, cb = std::move(cb), grant,
+    sendToBus(acc, std::move(cb), when, attempt, false);
+}
+
+void
+MemSystem::park(const Access &acc, AccessCallback cb, TxId blocker,
+                Tick since, Tick when, unsigned attempt)
+{
+    eq_.schedule(when, EventPriority::Memory,
+                 [this, acc, cb = std::move(cb), blocker, since,
                   attempt]() mutable {
-                     processGrant(acc, std::move(cb), grant, attempt);
+                     recheckParked(acc, std::move(cb), blocker, since,
+                                   attempt);
                  });
 }
 
 void
+MemSystem::recheckParked(const Access &acc, AccessCallback cb,
+                         TxId blocker, Tick since, unsigned attempt)
+{
+    const Tick now = eq_.curTick();
+    const bool alive = txmgr_.isLive(acc.tx);
+    if (alive && txmgr_.waitable(blocker)) {
+        park(acc, std::move(cb), blocker, since, now + retryDelay,
+             attempt);
+        return;
+    }
+    prof_->pop(acc.core);
+    txmgr_.conflictStallTicks += now - since;
+    if (!alive) {
+        // Aborted while parked (by an older transaction or chaos).
+        cb(now, AccessResult{0, true});
+        return;
+    }
+    // The blocker committed, aborted or left its core: arbitrate
+    // afresh at a new bus grant.
+    sendToBus(acc, std::move(cb), now, attempt, true);
+}
+
+void
 MemSystem::processGrant(const Access &acc, AccessCallback cb,
-                        Tick grant_tick, unsigned attempt)
+                        Tick grant_tick, unsigned attempt, bool waited)
 {
     const Addr block = blockAlign(acc.paddr);
     const std::uint16_t mask = accessMask(acc.paddr);
     const bool write = acc.isWrite || acc.isCas;
     const CoreId c = acc.core;
-    ++misses;
+    if (!waited)
+        ++misses;
 
     // The requesting transaction may have been aborted while the
     // request sat in the bus queue: squash.
@@ -306,11 +345,22 @@ MemSystem::processGrant(const Access &acc, AccessCallback cb,
     }
 
     // 3. Arbitrate: oldest transaction wins; losers abort now (their
-    //    speculative lines are scrubbed by the abort hook).
+    //    speculative lines are scrubbed by the abort hook). A younger
+    //    requester behind a running older transaction parks instead.
     if (!confl.empty()) {
-        ++conflicts;
-        if (!txmgr_.resolveConflicts(acc.tx, confl, block)) {
+        if (!waited)
+            ++conflicts;
+        Arbitration arb = txmgr_.resolveConflicts(acc.tx, confl, block);
+        if (arb.outcome == Arbitration::Abort) {
             cb(grant_tick + params_.busLatency, AccessResult{0, true});
+            return;
+        }
+        if (arb.outcome == Arbitration::Wait) {
+            if (!waited)
+                ++txmgr_.conflictStalls;
+            prof_->push(c, ProfBucket::StallConflict);
+            park(acc, std::move(cb), arb.blocker, grant_tick,
+                 grant_tick + retryDelay + extra, attempt);
             return;
         }
         if (confl.size() > cache_conflicts) {

@@ -8,7 +8,10 @@
  *
  *  - eager conflict detection at bus-grant time (in-cache marks) plus a
  *    backend check against overflowed state (section 4.4),
- *  - oldest-transaction-wins arbitration via TxManager,
+ *  - oldest-transaction-wins arbitration via TxManager; a younger
+ *    requester that must wait behind a running older transaction is
+ *    parked off the bus and re-arbitrated once the blocker commits,
+ *    aborts or leaves its core,
  *  - speculative versioning in the L2: committed dirty data is forced
  *    back to memory before a transaction's first speculative overwrite,
  *  - eviction of transactional blocks triggers backend overflow
@@ -212,13 +215,40 @@ class MemSystem
                        const CacheLine &line,
                        std::vector<TxId> &out) const;
 
+    /**
+     * Reserve the bus for @p acc from tick @p when and process it at
+     * its grant. @p waited marks an access that already sat parked
+     * behind an older transaction (its miss and conflict were counted
+     * when it first reached the bus).
+     */
+    void sendToBus(const Access &acc, AccessCallback cb, Tick when,
+                   unsigned attempt, bool waited);
+
     /** Process one granted bus transaction. */
     void processGrant(const Access &acc, AccessCallback cb,
-                      Tick grant_tick, unsigned attempt);
+                      Tick grant_tick, unsigned attempt, bool waited);
 
     /** Retry a stalled access after a delay. */
     void scheduleRetry(const Access &acc, AccessCallback cb,
                        Tick when, unsigned attempt);
+
+    /**
+     * Keep @p acc parked behind the running older transaction
+     * @p blocker, off the bus, until a re-check at tick @p when.
+     * @p since is the tick the wait began (the core's stall_conflict
+     * phase was pushed then).
+     */
+    void park(const Access &acc, AccessCallback cb, TxId blocker,
+              Tick since, Tick when, unsigned attempt);
+
+    /**
+     * Re-check a parked access every retryDelay ticks: keep waiting
+     * while @p blocker is still waitable, otherwise end the conflict
+     * stall and go back to the bus (or report the abort if the waiter
+     * itself was aborted meanwhile).
+     */
+    void recheckParked(const Access &acc, AccessCallback cb,
+                       TxId blocker, Tick since, unsigned attempt);
 
     /**
      * Evict @p victim from core @p c's L2 (overflow marks, write back
@@ -320,7 +350,8 @@ class MemSystem
     /** True while flushTxLines runs (abort-cause attribution). */
     bool in_tx_flush_ = false;
 
-    /** Retry delay for cleanup-in-progress stalls. */
+    /** Retry delay for cleanup-in-progress stalls and the re-check
+     *  period of accesses parked behind an older transaction. */
     static constexpr Tick retryDelay = 40;
     /** Give up after this many retries (deadlock detector). */
     static constexpr unsigned maxRetries = 100000;

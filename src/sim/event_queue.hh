@@ -329,6 +329,17 @@ class EventQueue
     }
 
     /**
+     * Tick of the last executed event below Stats priority: where the
+     * modeled run ended. Observer events (interval audits, samples)
+     * that fire after it do not lengthen the run.
+     */
+    Tick
+    lastModelTick() const
+    {
+        return last_model_tick_;
+    }
+
+    /**
      * Execute events until the queue drains or @p limit ticks elapse.
      * @return true if the queue drained, false if the limit was hit.
      */
@@ -353,6 +364,8 @@ class EventQueue
             std::uint16_t site = r.site;
             freeSlot(ref.slot);
             ++executed_[std::size_t(ref.prio)];
+            if (ref.prio != std::uint8_t(EventPriority::Stats))
+                last_model_tick_ = ref.when;
             if (host_profile_)
                 execProfiled(fn, site, ref.prio);
             else
@@ -575,6 +588,7 @@ class EventQueue
     std::vector<Record> records_;
     std::vector<std::uint32_t> free_;
     Tick cur_tick_ = 0;
+    Tick last_model_tick_ = 0;
     Tick run_limit_ = maxTick;
     std::uint64_t seq_ = 0;
 

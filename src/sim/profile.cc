@@ -28,6 +28,8 @@ profBucketName(ProfBucket b)
         return "stall_l2";
       case ProfBucket::StallMem:
         return "stall_mem";
+      case ProfBucket::StallConflict:
+        return "stall_conflict";
       case ProfBucket::StallXlat:
         return "stall_xlat";
       case ProfBucket::FaultSwap:

@@ -66,6 +66,7 @@ enum class ProfBucket : std::uint8_t
     StallL1,   //!< memory stall satisfied by the L1 filter
     StallL2,   //!< memory stall satisfied by the local L2
     StallMem,  //!< bus / remote cache / DRAM / backend-check stall
+    StallConflict, //!< access parked behind a running older tx
     StallXlat, //!< TLB-miss hardware page-table walk
     FaultSwap, //!< page-fault exception path including swap I/O
     TxBegin,   //!< register-checkpoint cost at transaction begin

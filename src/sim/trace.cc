@@ -17,6 +17,7 @@ traceEventTypeName(TraceEventType t)
       case TraceEventType::TxCommit: return "tx_commit";
       case TraceEventType::TxAbort: return "tx_abort";
       case TraceEventType::ConflictEdge: return "conflict_edge";
+      case TraceEventType::ConflictStall: return "conflict_stall";
       case TraceEventType::SptHit: return "spt_hit";
       case TraceEventType::SptMiss: return "spt_miss";
       case TraceEventType::SptEvict: return "spt_evict";

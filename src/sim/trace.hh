@@ -66,6 +66,7 @@ enum class TraceEventType : std::uint8_t
     TxCommit,       //!< tx: id
     TxAbort,        //!< tx: id; a0: AbortReason
     ConflictEdge,   //!< tx: winner (0 = non-tx); tx2: loser; a0: block
+    ConflictStall,  //!< tx: waiter; tx2: older blocker; a0: block
     SptHit,         //!< a0: page
     SptMiss,        //!< a0: page
     SptEvict,       //!< a0: page (dirty entry written back)
@@ -123,6 +124,7 @@ traceEventCat(TraceEventType t)
       case TraceEventType::TxAbort:
         return TraceCat::Tx;
       case TraceEventType::ConflictEdge:
+      case TraceEventType::ConflictStall:
         return TraceCat::Conflict;
       case TraceEventType::SptHit:
       case TraceEventType::SptMiss:

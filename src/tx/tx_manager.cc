@@ -36,6 +36,12 @@ TxManager::regStats(StatRegistry &reg)
                  "starvation-watchdog trips (N consecutive aborts)");
     g.addCounter("starvation_grants", &starvationGrants,
                  "serialized starvation-token grants");
+    g.addCounter("conflict_stalls", &conflictStalls,
+                 "accesses that waited behind a running older "
+                 "transaction");
+    g.addCounter("conflict_stall_ticks", &conflictStallTicks,
+                 "ticks accesses spent waiting behind older "
+                 "transactions");
     g.addDistribution("commit_latency", &commitLatency,
                       "committed-transaction latency in ticks "
                       "(first begin to logical commit)");
@@ -307,7 +313,7 @@ TxManager::cleanupDone(TxId id)
     }
 }
 
-bool
+Arbitration
 TxManager::resolveConflicts(TxId requester,
                             const std::vector<TxId> &conflicting,
                             Addr where)
@@ -334,7 +340,7 @@ TxManager::resolveConflicts(TxId requester,
                 abort(c, AbortReason::NonTxConflict, at);
             }
         }
-        return true;
+        return {};
     }
 
     const Transaction *req = get(requester);
@@ -370,13 +376,29 @@ TxManager::resolveConflicts(TxId requester,
                 abort(c, AbortReason::ConflictLost, at, requester);
             }
         }
-        return true;
+        return {};
+    }
+
+    if (waitable(oldest)) {
+        // Wait behind the running older transaction (LogTM's policy):
+        // aborting would only restart the requester into the same
+        // winner. Nobody is aborted.
+        tracer_->record(TraceEventType::ConflictStall, traceNoId,
+                        req->thread, requester, oldest, where);
+        return {Arbitration::Wait, oldest};
     }
 
     const Transaction *win = get(oldest);
     edge(oldest, win ? win->thread : traceNoId, requester);
     abort(requester, AbortReason::ConflictLost, at, oldest);
-    return false;
+    return {Arbitration::Abort, oldest};
+}
+
+bool
+TxManager::waitable(TxId id) const
+{
+    const Transaction *tx = get(id);
+    return tx && tx->live() && threadOnCore && threadOnCore(tx->thread);
 }
 
 std::uint32_t

@@ -3,7 +3,8 @@
  * Global transaction manager.
  *
  * Owns the T-State table, assigns sequential transaction identifiers,
- * flattens nesting, arbitrates conflicts (oldest wins), and sequences
+ * flattens nesting, arbitrates conflicts (oldest wins; a younger
+ * requester waits behind a running older transaction), and sequences
  * ordered-transaction commits. The memory system and the unbounded-TM
  * backends attach hooks so that a logical commit/abort fans out to
  * cache flash-clears and background TAV/XADT cleanup without circular
@@ -50,6 +51,29 @@ enum class AbortReason
     Explicit,
 };
 
+/**
+ * Verdict of conflict arbitration for the requesting access. Converts
+ * to true unless the requester itself was aborted.
+ */
+struct Arbitration
+{
+    enum Outcome : std::uint8_t
+    {
+        /** The requester won; every younger contender was aborted. */
+        Proceed,
+        /** The requester must wait behind @ref blocker, which is older
+         *  and running on a core; nobody was aborted. */
+        Wait,
+        /** The requester lost and was aborted. */
+        Abort,
+    };
+    Outcome outcome = Proceed;
+    /** The oldest contender (Wait and Abort); invalidTxId otherwise. */
+    TxId blocker = invalidTxId;
+
+    explicit operator bool() const { return outcome != Abort; }
+};
+
 /** Result of a commit request. */
 enum class CommitResult
 {
@@ -87,6 +111,12 @@ class TxManager
     std::function<void(TxId, ThreadId)> notifyAbortComplete;
     /** Wake an ordered transaction whose turn to commit arrived. */
     std::function<void(TxId, ThreadId)> wakeOrderedCommit;
+    /**
+     * Whether @p thread runs on a core and can make progress. A
+     * younger requester only waits behind a contender for which this
+     * holds; unset means never (the requester aborts instead).
+     */
+    std::function<bool(ThreadId)> threadOnCore;
     /// @}
 
     /**
@@ -139,21 +169,30 @@ class TxManager
 
     /**
      * Arbitrate a conflict between the requesting access and the set of
-     * conflicting live transactions. The oldest contender wins; all
-     * younger transactions in @p conflicting are aborted. A
-     * non-transactional requester (@p requester == invalidTxId) always
-     * wins (section 2.3.3).
+     * conflicting live transactions, oldest first:
+     *  - a non-transactional requester (@p requester == invalidTxId)
+     *    always wins (section 2.3.3) and aborts every contender;
+     *  - a requester older than every contender wins and aborts them;
+     *  - a requester younger than the oldest contender waits behind it
+     *    while that contender is waitable(), and aborts otherwise.
+     * Waits only ever point at an older transaction, so no wait cycle
+     * can form. The starvation-token holder counts as the oldest.
      *
      * Emits one winner->loser ConflictEdge trace event per aborted
-     * contender; @p where (the conflicting block address, 0 if
-     * unknown) is carried in the edge payload.
-     *
-     * @return true if the requester survives (won or tied), false if
-     *         the requester itself was aborted.
+     * transaction, or one ConflictStall (waiter, blocker) event for a
+     * wait; @p where (the conflicting block address, 0 if unknown) is
+     * carried in the payload.
      */
-    bool resolveConflicts(TxId requester,
-                          const std::vector<TxId> &conflicting,
-                          Addr where = 0);
+    Arbitration resolveConflicts(TxId requester,
+                                 const std::vector<TxId> &conflicting,
+                                 Addr where = 0);
+
+    /**
+     * True if a younger requester may wait behind @p id: it is live and
+     * its thread runs on a core (threadOnCore). Waiting on a
+     * descheduled thread could deadlock an oversubscribed machine.
+     */
+    bool waitable(TxId id) const;
 
     /** Create an ordered scope; commits inside it occur in rank order. */
     std::uint32_t createOrderedScope();
@@ -230,6 +269,13 @@ class TxManager
     Counter watchdogTrips;
     /** Serialized starvation-token grants (escalations). */
     Counter starvationGrants;
+    /**
+     * Accesses that waited behind a running older transaction (each
+     * counted once however often it was re-checked or re-parked), and
+     * the ticks they spent parked. MemSystem owns the waits.
+     */
+    Counter conflictStalls;
+    Counter conflictStallTicks;
     /**
      * End-to-end latency of committed transactions in ticks (first
      * begin to logical commit, aborted attempts included); the

@@ -159,9 +159,8 @@ payloadWord(std::uint32_t tag, unsigned w)
 }
 
 std::vector<Op>
-generateProgram(const Params &p, unsigned thread)
+generateProgram(const Params &p, const Zipfian &zipf, unsigned thread)
 {
-    Zipfian zipf(p.keys, p.zipf);
     Pcg32 rng(p.seed + std::uint64_t(thread) * 1000003,
               0xC0FFEEull + thread);
     std::vector<Op> ops;
@@ -197,14 +196,14 @@ generateProgram(const Params &p, unsigned thread)
 }
 
 std::vector<std::uint32_t>
-expectedFinal(const Params &p)
+expectedFinal(const Params &p, const Zipfian &zipf)
 {
     std::vector<std::uint32_t> tags(p.keys, 0);
     for (std::uint32_t k = 0; k < p.keys; ++k)
         if (preloaded(p, k))
             tags[k] = preloadTag(p.seed, k);
     for (unsigned t = 0; t < p.threads; ++t) {
-        auto prog = generateProgram(p, t);
+        auto prog = generateProgram(p, zipf, t);
         for (std::size_t i = 0; i < prog.size(); ++i) {
             const Op &op = prog[i];
             if (op.type == OpType::Insert)
@@ -217,7 +216,7 @@ expectedFinal(const Params &p)
 }
 
 std::vector<std::uint32_t>
-expectedAfterCommits(const Params &p,
+expectedAfterCommits(const Params &p, const Zipfian &zipf,
                      const std::vector<std::uint64_t> &counts)
 {
     std::vector<std::uint32_t> tags(p.keys, 0);
@@ -225,7 +224,7 @@ expectedAfterCommits(const Params &p,
         if (preloaded(p, k))
             tags[k] = preloadTag(p.seed, k);
     for (unsigned t = 0; t < p.threads; ++t) {
-        auto prog = generateProgram(p, t);
+        auto prog = generateProgram(p, zipf, t);
         std::uint64_t committed = t < counts.size() ? counts[t] : 0;
         std::uint64_t nops =
             std::min<std::uint64_t>(prog.size(), committed * p.txOps);
@@ -362,11 +361,12 @@ class KvWorkload : public Workload
   public:
     explicit KvWorkload(const WorkloadConfig &cfg)
         : Workload(cfg), params_(kv::paramsFromConfig(cfg_)),
-          layout_(params_.keys, params_.vwords)
+          layout_(params_.keys, params_.vwords),
+          zipf_(params_.keys, params_.zipf)
     {
         programs_.reserve(cfg_.threads);
         for (unsigned t = 0; t < cfg_.threads; ++t)
-            programs_.push_back(kv::generateProgram(params_, t));
+            programs_.push_back(kv::generateProgram(params_, zipf_, t));
         if (params_.dropWrite != 0)
             drop_idx_ = kv::chooseDropIndex(programs_[0]);
         // The scale=0 preset shrinks some non-explicit options; write
@@ -428,7 +428,7 @@ class KvWorkload : public Workload
         // slots/payloads, occupancy counters and the leaf chain — all
         // through the same walker crash recovery compares with.
         bool ok = true;
-        kv::forEachWord(params_, kv::expectedFinal(params_),
+        kv::forEachWord(params_, kv::expectedFinal(params_, zipf_),
                         [&](Addr a, std::uint32_t want) {
                             if (ok && sys.readWord32(proc_, a) != want)
                                 ok = false;
@@ -501,7 +501,8 @@ class KvWorkload : public Workload
                     const std::function<void(Addr, std::uint32_t)>
                         &emit) const override
     {
-        kv::forEachWord(params_, kv::expectedAfterCommits(params_, counts),
+        kv::forEachWord(params_,
+                        kv::expectedAfterCommits(params_, zipf_, counts),
                         emit);
     }
 
@@ -659,6 +660,8 @@ class KvWorkload : public Workload
 
     kv::Params params_;
     Layout layout_;
+    /** Key-rank sampler shared by program generation and the oracles. */
+    Zipfian zipf_;
     std::vector<std::vector<Op>> programs_;
     std::size_t drop_idx_ = SIZE_MAX;
     ProcId proc_ = 0;

@@ -35,6 +35,7 @@
 
 #include "sim/types.hh"
 #include "workloads/workload.hh"
+#include "workloads/zipfian.hh"
 
 namespace ptm::kv
 {
@@ -110,10 +111,14 @@ struct Op
 /**
  * Generate thread @p thread's op program: bit-exact for a given
  * (params, thread), independent of everything else. Keys are drawn
- * Zipfian-by-rank and scattered over the key space by a seeded
- * bijection; write ops are remapped to the thread's own key partition.
+ * Zipfian-by-rank from @p zipf, which must be Zipfian(p.keys, p.zipf)
+ * (building one sums a term per key, so a workload builds it once for
+ * its programs and oracles), and scattered over the key space by a
+ * seeded bijection; write ops are remapped to the thread's own key
+ * partition.
  */
-std::vector<Op> generateProgram(const Params &p, unsigned thread);
+std::vector<Op> generateProgram(const Params &p, const Zipfian &zipf,
+                                unsigned thread);
 
 /** The seeded rank -> key scatter bijection (power-of-two @p keys). */
 std::uint32_t scatterKey(std::uint64_t rank, std::uint64_t keys,
@@ -137,7 +142,8 @@ std::uint32_t payloadWord(std::uint32_t tag, unsigned w);
  * after every thread's program ran — the sequential oracle. Valid
  * because writes are key-partitioned per thread.
  */
-std::vector<std::uint32_t> expectedFinal(const Params &p);
+std::vector<std::uint32_t> expectedFinal(const Params &p,
+                                         const Zipfian &zipf);
 
 /**
  * The store contents after each thread committed exactly its first
@@ -149,7 +155,7 @@ std::vector<std::uint32_t> expectedFinal(const Params &p);
  * key-partitioned per thread.
  */
 std::vector<std::uint32_t>
-expectedAfterCommits(const Params &p,
+expectedAfterCommits(const Params &p, const Zipfian &zipf,
                      const std::vector<std::uint64_t> &counts);
 
 /**

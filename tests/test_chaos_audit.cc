@@ -13,6 +13,7 @@
 
 #include <cstring>
 
+#include "harness/experiment.hh"
 #include "mem/frame_alloc.hh"
 #include "mem/phys_mem.hh"
 #include "mem/timing.hh"
@@ -425,6 +426,42 @@ chaosRunCycles(bool armed, RunStats &out)
             << "plan never injected: the run is too short";
     }
     return end;
+}
+
+/**
+ * The auditor only observes: with it on, a run ends on the same tick
+ * with the same statistics as with it off, apart from its own group
+ * and the event counts its checks add to.
+ */
+TEST(AuditSystem, AuditOnAndOffGiveIdenticalStats)
+{
+    for (const char *wl : {"fft", "kv"}) {
+        // Tiny caches make the transactions overflow, so the run-length
+        // weighted VTS gauges are non-zero and would show a longer run.
+        SystemParams off = tinyCacheParams(TmKind::SelectPtm);
+        SystemParams on = off;
+        on.audit.enabled = true;
+        on.audit.interval = 5000;
+        ExperimentResult a = runWorkload(wl, off, 0, 4);
+        ExperimentResult b = runWorkload(wl, on, 0, 4);
+        EXPECT_TRUE(a.verified && b.verified) << wl;
+        EXPECT_GT(b.auditChecks, 0u) << wl;
+        EXPECT_TRUE(b.auditViolations.empty()) << wl;
+        EXPECT_EQ(a.cycles, b.cycles) << wl;
+        EXPECT_GT(a.snapshot.value("vts.avg_live_dirty_pages"), 0.0) << wl;
+        for (const auto &g : a.snapshot.groups()) {
+            if (g.name == "audit" || g.name == "events")
+                continue;
+            for (const auto &[name, v] : g.stats) {
+                const std::string path = g.name + "." + name;
+                const StatValue *w = b.snapshot.find(path);
+                ASSERT_NE(w, nullptr) << wl << " " << path;
+                EXPECT_EQ(v.value, w->value) << wl << " " << path;
+                EXPECT_EQ(v.count, w->count) << wl << " " << path;
+                EXPECT_EQ(v.dist.sum, w->dist.sum) << wl << " " << path;
+            }
+        }
+    }
 }
 
 /** The same (workload seed, chaos seed, plan) replays bit-exactly. */

@@ -68,22 +68,26 @@ TEST(KvZipfian, SkewMatchesTheta)
 TEST(KvProgram, DeterministicPerThread)
 {
     kv::Params p = tinyParams();
+    const Zipfian zipf(p.keys, p.zipf);
     for (unsigned t = 0; t < p.threads; ++t) {
-        auto a = kv::generateProgram(p, t);
-        auto b = kv::generateProgram(p, t);
+        // A shared sampler and a fresh one draw the same stream.
+        auto a = kv::generateProgram(p, zipf, t);
+        auto b = kv::generateProgram(p, Zipfian(p.keys, p.zipf), t);
         ASSERT_EQ(a.size(), p.ops);
         EXPECT_TRUE(a == b) << "thread " << t;
     }
     // Different threads draw different streams.
-    EXPECT_FALSE(kv::generateProgram(p, 0) == kv::generateProgram(p, 1));
+    EXPECT_FALSE(kv::generateProgram(p, zipf, 0) ==
+                 kv::generateProgram(p, zipf, 1));
 }
 
 TEST(KvProgram, WritesStayInOwnerPartition)
 {
     kv::Params p = tinyParams();
+    const Zipfian zipf(p.keys, p.zipf);
     std::map<kv::OpType, int> count;
     for (unsigned t = 0; t < p.threads; ++t) {
-        for (const kv::Op &op : kv::generateProgram(p, t)) {
+        for (const kv::Op &op : kv::generateProgram(p, zipf, t)) {
             ASSERT_LT(op.key, p.keys);
             if (op.isWrite()) {
                 EXPECT_EQ(op.key % p.threads, t);
@@ -169,7 +173,7 @@ TEST(KvLayout, SeparatorDescentReachesEveryLeaf)
 TEST(KvOracle, DropIndexTargetsNeverRewrittenInsert)
 {
     kv::Params p = tinyParams();
-    auto program = kv::generateProgram(p, 0);
+    auto program = kv::generateProgram(p, Zipfian(p.keys, p.zipf), 0);
     std::size_t drop = kv::chooseDropIndex(program);
     ASSERT_NE(drop, std::size_t(-1));
     ASSERT_EQ(program[drop].type, kv::OpType::Insert);
@@ -184,12 +188,13 @@ TEST(KvOracle, DropIndexTargetsNeverRewrittenInsert)
 TEST(KvOracle, ExpectedFinalRespectsPreloadAndWrites)
 {
     kv::Params p = tinyParams();
-    auto final = kv::expectedFinal(p);
+    const Zipfian zipf(p.keys, p.zipf);
+    auto final = kv::expectedFinal(p, zipf);
     ASSERT_EQ(final.size(), p.keys);
     // Keys nobody writes keep their preload state.
     std::vector<bool> written(p.keys, false);
     for (unsigned t = 0; t < p.threads; ++t)
-        for (const kv::Op &op : kv::generateProgram(p, t))
+        for (const kv::Op &op : kv::generateProgram(p, zipf, t))
             if (op.isWrite())
                 written[op.key] = true;
     int untouched = 0;
@@ -227,6 +232,34 @@ TEST(KvWorkload, VerifiesOnAllBackends)
             EXPECT_GT(r.stats.commits, 0u);
         }
     }
+}
+
+/**
+ * kv's hot leaves on 16 cores: younger requesters wait behind running
+ * older transactions instead of aborting into them again, the run
+ * completes and verifies, and the parked time the profiler attributes
+ * to stall_conflict is exactly the tx.conflict_stall_ticks total.
+ */
+TEST(KvWorkload, SixteenCoresWaitBehindOlderTransactions)
+{
+    SystemParams prm;
+    prm.tmKind = TmKind::SelectPtm;
+    prm.numCores = 16;
+    prm.maxTicks = 500 * 1000 * 1000;
+    prm.profile.enabled = true;
+    ExperimentResult r = runWorkload("kv", prm, 0, 16);
+    EXPECT_TRUE(r.verified);
+    EXPECT_FALSE(r.stats.hitTickLimit);
+    const std::uint64_t stalls = r.snapshot.counter("tx.conflict_stalls");
+    const std::uint64_t ticks =
+        r.snapshot.counter("tx.conflict_stall_ticks");
+    EXPECT_GT(stalls, 0u);
+    EXPECT_GE(ticks, stalls);
+    ASSERT_TRUE(r.profile.enabled);
+    EXPECT_EQ(r.profile.bucketTotal(ProfBucket::StallConflict), ticks);
+    for (unsigned c = 0; c < r.profile.cores.size(); ++c)
+        EXPECT_EQ(r.profile.coreTotal(c), r.profile.elapsed) << "core "
+                                                             << c;
 }
 
 TEST(KvRegistry, EntryAndOptionTable)

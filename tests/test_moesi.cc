@@ -40,10 +40,13 @@ class MoesiTest : public ::testing::Test
         return p;
     }
 
-    /** Issue an access and run events to completion. */
+    /**
+     * Send an access and run events to completion; @p at, if given,
+     * receives the access's completion tick.
+     */
     AccessResult
     go(CoreId core, bool write, Addr paddr, std::uint32_t val = 0,
-       TxId tx = invalidTxId)
+       TxId tx = invalidTxId, Tick *at = nullptr)
     {
         Access a;
         a.core = core;
@@ -55,9 +58,11 @@ class MoesiTest : public ::testing::Test
             return hit->second;
         AccessResult out;
         bool done = false;
-        mem.request(a, [&](Tick, AccessResult r) {
+        mem.request(a, [&](Tick t, AccessResult r) {
             out = r;
             done = true;
+            if (at)
+                *at = t;
         });
         eq.run();
         EXPECT_TRUE(done);
@@ -224,6 +229,9 @@ TEST_F(MoesiTest, TransactionalMarksSetOnAccess)
 
 TEST_F(MoesiTest, ConflictAbortsYoungerTransaction)
 {
+    // No thread runs on a core (threadOnCore is unwired), so waiting
+    // behind the older transaction could deadlock: the younger
+    // requester aborts instead.
     TxId older = txmgr.begin(0, 0, 0);
     TxId younger = txmgr.begin(1, 0, 1);
     go(0, true, A, 1, older);
@@ -245,6 +253,66 @@ TEST_F(MoesiTest, OlderRequesterWinsConflict)
     EXPECT_EQ(txmgr.requestCommit(older), CommitResult::Done);
     eq.run();
     EXPECT_EQ(go(2, false, A).value, 1u);
+}
+
+TEST_F(MoesiTest, YoungerRequesterWaitsForRunningOlderTransaction)
+{
+    txmgr.threadOnCore = [](ThreadId) { return true; };
+    TxId older = txmgr.begin(0, 0, 0);
+    TxId younger = txmgr.begin(1, 0, 1);
+    go(0, true, A, 1, older);
+
+    // The older writer commits 500 ticks from now, while the younger
+    // reader sits parked behind it.
+    const Tick commit_at = eq.curTick() + 500;
+    eq.schedule(commit_at, EventPriority::Cpu,
+                [&] { txmgr.requestCommit(older); });
+    const std::uint64_t misses = mem.misses.value();
+    Tick done = 0;
+    AccessResult r = go(1, false, A, 0, younger, &done);
+
+    EXPECT_FALSE(r.txAborted);
+    EXPECT_EQ(r.value, 1u) << "the waiter reads the committed value";
+    EXPECT_GE(done, commit_at);
+    EXPECT_TRUE(txmgr.isLive(younger));
+    EXPECT_EQ(txmgr.stateOf(older), TxState::Committed);
+    // One parked access: one stall, one miss and one conflict however
+    // many times it was re-checked.
+    EXPECT_EQ(txmgr.conflictStalls.value(), 1u);
+    EXPECT_GT(txmgr.conflictStallTicks.value(), 0u);
+    EXPECT_EQ(mem.misses.value(), misses + 1);
+    EXPECT_EQ(mem.conflicts.value(), 1u);
+    EXPECT_EQ(txmgr.aborts.value(), 0u);
+}
+
+TEST_F(MoesiTest, ParkedRequesterAbortedByOlderTransaction)
+{
+    txmgr.threadOnCore = [](ThreadId) { return true; };
+    constexpr Addr B = A + 0x1000;
+    TxId older = txmgr.begin(0, 0, 0);
+    TxId younger = txmgr.begin(1, 0, 1);
+    go(1, false, B, 0, younger);
+    go(0, true, A, 1, older);
+
+    // While the younger reader of A waits, the older one writes B,
+    // which the younger one read: oldest-wins aborts the waiter.
+    eq.schedule(eq.curTick() + 300, EventPriority::Cpu, [&] {
+        Access wr;
+        wr.core = 0;
+        wr.tx = older;
+        wr.isWrite = true;
+        wr.paddr = B;
+        wr.storeValue = 2;
+        mem.request(wr, [](Tick, AccessResult r) {
+            EXPECT_FALSE(r.txAborted);
+        });
+    });
+    AccessResult r = go(1, false, A, 0, younger);
+
+    EXPECT_TRUE(r.txAborted);
+    EXPECT_EQ(txmgr.stateOf(younger), TxState::Aborted);
+    EXPECT_TRUE(txmgr.isLive(older));
+    EXPECT_EQ(txmgr.conflictStalls.value(), 1u);
 }
 
 } // namespace

@@ -203,18 +203,25 @@ TEST(WordGranularity, StaleFillRegression)
 
 TEST(WordGranularity, RadixGainsFromWordGranularity)
 {
-    // The Figure 5 headline at test scale: radix improves with word
-    // granularity because its scattered permutation writes share
-    // blocks but not words.
-    SystemParams blk = quietParams(TmKind::SelectPtm);
-    ExperimentResult rb = runWorkload("radix", blk, 0, 4);
-    SystemParams wd = quietParams(TmKind::SelectPtm);
-    wd.granularity = Granularity::WordCacheMem;
-    ExperimentResult rw = runWorkload("radix", wd, 0, 4);
-    EXPECT_TRUE(rb.verified);
-    EXPECT_TRUE(rw.verified);
-    EXPECT_GT(rb.stats.aborts, rw.stats.aborts);
-    EXPECT_LT(rw.cycles, rb.cycles);
+    // The Figure 5 headline: radix improves with word granularity
+    // because its scattered permutation writes share blocks but not
+    // words. Block mode's false conflicts show at any size, but at
+    // scale 0 they mostly cost short waits behind older transactions,
+    // so the cycle gain is asserted at scale 1, the size bench_fig5
+    // reproduces Figure 5 at.
+    for (unsigned scale : {0u, 1u}) {
+        SystemParams blk = quietParams(TmKind::SelectPtm);
+        ExperimentResult rb = runWorkload("radix", blk, scale, 4);
+        SystemParams wd = quietParams(TmKind::SelectPtm);
+        wd.granularity = Granularity::WordCacheMem;
+        ExperimentResult rw = runWorkload("radix", wd, scale, 4);
+        EXPECT_TRUE(rb.verified) << "scale " << scale;
+        EXPECT_TRUE(rw.verified) << "scale " << scale;
+        EXPECT_GT(rb.stats.aborts, rw.stats.aborts) << "scale " << scale;
+        if (scale == 1) {
+            EXPECT_LT(rw.cycles, rb.cycles);
+        }
+    }
 }
 
 } // namespace

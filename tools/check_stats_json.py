@@ -51,8 +51,9 @@ BASE_GROUPS = ["sys", "tx", "mem", "os", "core0", "events",
 
 PROF_BUCKETS = {
     "idle", "non_tx", "tx_useful", "tx_wasted", "stall_l1", "stall_l2",
-    "stall_mem", "stall_xlat", "fault_swap", "tx_begin", "tx_commit",
-    "tx_abort", "tx_persist", "ctx_switch", "barrier",
+    "stall_mem", "stall_conflict", "stall_xlat", "fault_swap",
+    "tx_begin", "tx_commit", "tx_abort", "tx_persist", "ctx_switch",
+    "barrier",
 }
 
 PROF_CHARGES = {
@@ -227,6 +228,16 @@ def check_profile(ptm_sim):
             errors.append(
                 f"profile: core {i} total {total} != elapsed_ticks "
                 f"{elapsed}")
+    # Parked time behind older transactions is one quantity seen by
+    # two components; fft's two threads do contend, so it is not 0.
+    stalled = sum(c.get("ticks", {}).get("stall_conflict", 0)
+                  for c in cores)
+    parked = (doc.get("groups", {}).get("tx", {})
+              .get("conflict_stall_ticks", {}).get("value"))
+    if stalled <= 0 or stalled != parked:
+        errors.append(
+            f"profile: stall_conflict ticks {stalled} != "
+            f"tx.conflict_stall_ticks {parked} (must be > 0)")
     sup = prof.get("supervisor")
     if not isinstance(sup, dict):
         errors.append("profile: supervisor section missing")

@@ -29,6 +29,7 @@ SYSTEMS = ["serial", "locks", "copy-ptm", "sel-ptm", "vtm", "vc-vtm"]
 
 EVENT_NAMES = {
     "tx_begin", "tx_restart", "tx_commit", "tx_abort", "conflict_edge",
+    "conflict_stall",
     "spt_hit", "spt_miss", "spt_evict", "tav_hit", "tav_miss",
     "tav_evict", "walk_start", "walk_end", "shadow_alloc",
     "shadow_free", "sel_flip", "page_fault", "swap_out", "swap_in",
