@@ -56,17 +56,6 @@ class Tlb
         return invalidPage;
     }
 
-    /**
-     * Pure membership probe: no LRU motion, no hit/miss accounting.
-     * The fast-forward path uses this to decide whether translate()
-     * would hit before committing to its side effects.
-     */
-    bool
-    contains(ProcId proc, PageNum vpage) const
-    {
-        return index_.find(key(proc, vpage)) != nullptr;
-    }
-
     /** Install a translation, evicting LRU if full. */
     void
     insert(ProcId proc, PageNum vpage, PageNum ppage)

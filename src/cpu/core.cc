@@ -37,10 +37,6 @@ Core::regStats(StatRegistry &reg)
                  "compute (non-memory) operations executed");
     g.addCounter("preemptions", &preemptions,
                  "threads preempted off this core (quantum/daemon)");
-    g.addCounter("ff_batches", &ffBatches,
-                 "direct-execution fast-forward batches entered");
-    g.addCounter("ff_ops", &ffOps,
-                 "ops retired inside fast-forward batches");
 }
 
 void
@@ -71,15 +67,10 @@ Core::scheduleStep(Tick delay)
 bool
 Core::shouldPreempt() const
 {
-    return shouldPreemptAt(eq_.curTick());
-}
-
-bool
-Core::shouldPreemptAt(Tick at) const
-{
-    if (at < daemon_until_)
+    Tick now = eq_.curTick();
+    if (now < daemon_until_)
         return true;
-    return at >= quantum_end_ && os_.hasReady();
+    return now >= quantum_end_ && os_.hasReady();
 }
 
 void
@@ -267,129 +258,12 @@ Core::resumeCoro(ThreadCtx &t, std::uint64_t value)
         return;
     }
 
-    if (params_.fastForwardOps > 0 && t.curTx == invalidTxId &&
-        params_.trace.path.empty()) {
-        fastForward(t, value);
-        return;
-    }
-
     const MemYield *op = t.coro.resume(value);
     if (!op) {
         stepFinished(t);
         return;
     }
     runOp(t, *op);
-}
-
-void
-Core::fastForward(ThreadCtx &t, std::uint64_t value)
-{
-    const Tick start = eq_.curTick();
-    // No batched op may have effects at or past the next pending
-    // event's tick (nothing else simulated happens strictly before it,
-    // so batched ops observe exactly the natural-path state) or past
-    // the run limit (the stats snapshot at the limit must not see
-    // future work).
-    Tick horizon = eq_.nextEventTick();
-    const Tick limit = eq_.runLimit();
-    if (limit != maxTick && limit + 1 < horizon)
-        horizon = limit + 1;
-
-    ++ffBatches;
-    profExec(t);
-
-    Tick adv = 0; // virtual cycles accumulated past start
-    unsigned done = 0;
-    for (;;) {
-        const MemYield *op = t.coro.resume(value);
-        if (!op) {
-            if (adv == 0) {
-                stepFinished(t);
-                return;
-            }
-            std::uint64_t ep = t.epoch;
-            eq_.scheduleIn(adv, EventPriority::Cpu, [this, &t, ep] {
-                if (t.epoch == ep)
-                    stepFinished(t);
-            }, site_step_);
-            return;
-        }
-
-        if (op->kind == OpKind::Compute) {
-            ++computeOps;
-            ++ffOps;
-            t.computeCycles += op->cycles;
-            adv += op->cycles ? op->cycles : 1;
-            value = 0;
-        } else {
-            auto pa = os_.translateFast(id_, t.proc, op->vaddr);
-            if (!pa) {
-                // TLB walk or fault: replay the op on the natural path
-                // at its virtual issue time (runOp counts it and runs
-                // the full translate() with correctly-timed side
-                // effects).
-                if (adv == 0) {
-                    runOp(t, *op);
-                    return;
-                }
-                MemYield opc = *op;
-                std::uint64_t ep = t.epoch;
-                eq_.scheduleIn(adv, EventPriority::Cpu,
-                               [this, &t, opc, ep] {
-                                   if (t.epoch == ep)
-                                       runOp(t, opc);
-                               }, site_xlat_);
-                return;
-            }
-            ++memOps;
-            ++t.memOps;
-            ++ffOps;
-            Access acc;
-            acc.core = id_;
-            acc.tx = invalidTxId;
-            acc.isWrite = op->kind == OpKind::Store;
-            acc.isCas = op->kind == OpKind::Cas;
-            acc.paddr = *pa & ~Addr(3);
-            acc.storeValue = std::uint32_t(op->value);
-            acc.casExpected = std::uint32_t(op->expected);
-            auto hit = mem_.trySync(acc);
-            if (!hit) {
-                // Needs the bus: issue at the virtual time so the bus
-                // reservation and grant processing see natural timing.
-                // (trySync is side-effect-free on a miss; the re-probe
-                // inside issueAccess misses identically.)
-                if (adv == 0) {
-                    issueAccess(t, acc);
-                    return;
-                }
-                std::uint64_t ep = t.epoch;
-                eq_.scheduleIn(adv, EventPriority::Cpu,
-                               [this, &t, acc, ep] {
-                                   if (t.epoch == ep)
-                                       issueAccess(t, acc);
-                               }, site_mem_);
-                return;
-            }
-            adv += hit->first;
-            value = hit->second.value;
-        }
-
-        ++done;
-        Tick v = start + adv;
-        if (done >= params_.fastForwardOps || v >= horizon ||
-            shouldPreemptAt(v)) {
-            // Batch exit: hand the next op to resumeCoro at its
-            // natural tick (it re-checks preemption/abort there and
-            // may open a fresh batch).
-            std::uint64_t ep = t.epoch;
-            std::uint64_t rv = value;
-            eq_.scheduleIn(adv, EventPriority::Cpu, [this, &t, rv, ep] {
-                if (t.epoch == ep)
-                    resumeCoro(t, rv);
-            }, site_compute_);
-            return;
-        }
-    }
 }
 
 void

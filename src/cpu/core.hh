@@ -74,8 +74,6 @@ class Core
     Counter txMemOps;     //!< subset issued inside transactions
     Counter computeOps;
     Counter preemptions;
-    Counter ffBatches;    //!< direct-execution fast-forward batches
-    Counter ffOps;        //!< ops retired inside fast-forward batches
     /// @}
 
   private:
@@ -97,20 +95,6 @@ class Core
     /** Issue a memory access (post-translation). */
     void issueAccess(ThreadCtx &t, const Access &acc);
 
-    /**
-     * Direct-execution fast-forward: retire up to fastForwardOps
-     * non-transactional ops of @p t synchronously at the current tick,
-     * advancing the thread's virtual time without per-op events. Only
-     * entered with no open transaction; ops are batched strictly while
-     * their virtual completion time stays below the next pending
-     * event's tick (and the run limit), so no other simulated activity
-     * can interleave and every op observes exactly the state it would
-     * have observed on the one-event-per-op path. TLB misses, cache
-     * misses and batch exits are handed back to the natural path at
-     * their virtual issue time.
-     */
-    void fastForward(ThreadCtx &t, std::uint64_t value);
-
     /** The current step's coroutine ran to completion. */
     void stepFinished(ThreadCtx &t);
 
@@ -125,9 +109,6 @@ class Core
 
     /** True if the thread must yield the core right now. */
     bool shouldPreempt() const;
-
-    /** shouldPreempt() as evaluated at (future) tick @p at. */
-    bool shouldPreemptAt(Tick at) const;
 
     /**
      * Park with no pending continuation (kick()/kickParked() wake).

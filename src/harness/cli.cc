@@ -207,116 +207,75 @@ OptionTable::printHelp() const
 }
 
 void
-addTraceOptions(OptionTable &opts, TraceParams &dest)
+addSystemOptions(OptionTable &opts, SystemParams &prm)
 {
     opts.optionString("trace", "FILE",
                       "write an event trace to FILE ('-' for stdout)",
-                      dest.path);
+                      prm.trace.path);
     opts.option("trace-format", "FMT",
                 "trace format: jsonl (ptm-trace-v1) | chrome "
                 "(Perfetto)",
-                [&dest](const std::string &v) {
-                    return parseTraceFormat(v, dest.format);
+                [&prm](const std::string &v) {
+                    return parseTraceFormat(v, prm.trace.format);
                 });
     opts.option("trace-categories", "LIST",
                 "comma-separated categories (tx,conflict,meta,page,"
                 "cache,os,watch,sample) or 'all'",
-                [&dest](const std::string &v) {
-                    return parseTraceCategories(v, dest.categories);
+                [&prm](const std::string &v) {
+                    return parseTraceCategories(v,
+                                                prm.trace.categories);
                 });
     opts.option("trace-buffer-events", "N",
                 "per-run trace ring capacity in events (keeps the "
                 "newest N)",
-                [&dest](const std::string &v) {
+                [&prm](const std::string &v) {
                     std::uint64_t n;
                     if (!parseU64(v, n) || n == 0)
                         return false;
-                    dest.bufferEvents = std::size_t(n);
+                    prm.trace.bufferEvents = std::size_t(n);
                     return true;
                 });
     opts.option("trace-sample-interval", "TICKS",
                 "stat-sampler period in ticks (0 disables sampling)",
-                [&dest](const std::string &v) {
+                [&prm](const std::string &v) {
                     std::uint64_t n;
                     if (!parseU64(v, n))
                         return false;
-                    dest.sampleInterval = Tick(n);
+                    prm.trace.sampleInterval = Tick(n);
                     return true;
                 });
     opts.option("watch-addr", "ADDR",
                 "emit watchpoint events for this physical word "
                 "address (decimal or 0x hex)",
-                [&dest](const std::string &v) {
+                [&prm](const std::string &v) {
                     std::uint64_t a;
                     if (!parseAddr(v, a))
                         return false;
-                    dest.watchAddr = Addr(a);
+                    prm.trace.watchAddr = Addr(a);
                     return true;
                 });
-}
 
-void
-addProfileOptions(OptionTable &opts, ProfileParams &dest)
-{
     opts.flag("profile",
               "enable cycle accounting; prints the per-core tick "
               "decomposition and adds a 'profile' JSON section",
-              [&dest] { dest.enabled = true; });
+              [&prm] { prm.profile.enabled = true; });
     opts.flag("host-profile",
               "also profile the host event loop (per-site event "
               "counts and sampled wall time); implies --profile",
-              [&dest] {
-                  dest.enabled = true;
-                  dest.host = true;
+              [&prm] {
+                  prm.profile.enabled = true;
+                  prm.profile.host = true;
               });
     opts.option("host-profile-interval", "N",
                 "measure host time of every N-th event (default 32)",
-                [&dest](const std::string &v) {
+                [&prm](const std::string &v) {
                     std::uint64_t n;
                     if (!parseU64(v, n) || n == 0 || n > 0xFFFFFFFFull)
                         return false;
-                    dest.hostSampleInterval = unsigned(n);
+                    prm.profile.hostSampleInterval = unsigned(n);
                     return true;
                 });
-}
 
-void
-addMachineOptions(OptionTable &opts, MachineParams &dest)
-{
-    opts.option("mem-banks", "N",
-                "address-interleaved interconnect banks (power of "
-                "two, max 256; default 1 = the paper's single bus)",
-                [&dest](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n) || n == 0 || n > 256 ||
-                        (n & (n - 1)) != 0)
-                        return false;
-                    dest.memBanks = unsigned(n);
-                    return true;
-                });
-    opts.flagOrValue(
-        "fast-forward", "K",
-        "batch up to K non-transactional ops per host event in "
-        "conflict-free stretches (bare flag: K=32; simulated "
-        "results unchanged)",
-        [&dest] { dest.fastForwardOps = 32; },
-        [&dest](const std::string &v) {
-            std::uint64_t n;
-            if (!parseU64(v, n) || n == 0 || n > 0xFFFFFFFFull)
-                return false;
-            dest.fastForwardOps = unsigned(n);
-            return true;
-        });
-    opts.flag("host-metrics",
-              "emit host-derived throughput (sim_events_per_sec) in "
-              "bench result rows (machine-dependent; off in "
-              "checked-in baselines)",
-              [&dest] { dest.hostMetrics = true; });
-}
-
-void
-addRobustnessOptions(OptionTable &opts, RobustnessParams &prm)
-{
     opts.flag("chaos",
               "enable deterministic fault injection (seeded; see "
               "--chaos-seed / --chaos-plan)",
@@ -411,46 +370,19 @@ addRobustnessOptions(OptionTable &opts, RobustnessParams &prm)
                     prm.contention.retryBudget = unsigned(n);
                     return true;
                 });
-}
 
-void
-addForensicsOptions(OptionTable &opts, ForensicsParams &prm)
-{
-    opts.option("flightrec-depth", "N",
-                "retired-transaction flight-recorder ring capacity "
-                "(default 256, 0 removes the recorder)",
+    opts.option("mem-banks", "N",
+                "address-interleaved interconnect banks (power of "
+                "two, max 256; default 1 = the paper's single bus)",
                 [&prm](const std::string &v) {
                     std::uint64_t n;
-                    if (!parseU64(v, n) || n > 0xFFFFFFFFull)
+                    if (!parseU64(v, n) || n == 0 || n > 256 ||
+                        (n & (n - 1)) != 0)
                         return false;
-                    prm.depth = unsigned(n);
+                    prm.memBanks = unsigned(n);
                     return true;
                 });
-    opts.option("postmortem", "FILE",
-                "arm abort post-mortem capture and write each "
-                "ptm-postmortem-v1 JSON document to FILE ('-' for "
-                "stderr)",
-                [&prm](const std::string &v) {
-                    if (v.empty())
-                        return false;
-                    prm.postmortemPath = v == "-" ? "stderr" : v;
-                    return true;
-                });
-    opts.option("postmortem-on-abort", "N",
-                "arm capture and trigger a post-mortem when any "
-                "transaction reaches N aborts (0 disables)",
-                [&prm](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n) || n > 0xFFFFFFFFull)
-                        return false;
-                    prm.onAbortThreshold = unsigned(n);
-                    return true;
-                });
-}
 
-void
-addObservabilityOptions(OptionTable &opts, ObservabilityParams &prm)
-{
     opts.flagOrValue(
         "live-stats", "TICKS",
         "stream ptm-timeseries-v1 interval records to stderr while "
@@ -507,55 +439,83 @@ addObservabilityOptions(OptionTable &opts, ObservabilityParams &prm)
                     prm.heatmap.topK = unsigned(n);
                     return true;
                 });
-}
 
-void
-addPersistOptions(OptionTable &opts, PersistParams &dest)
-{
+    opts.option("flightrec-depth", "N",
+                "retired-transaction flight-recorder ring capacity "
+                "(default 256, 0 removes the recorder)",
+                [&prm](const std::string &v) {
+                    std::uint64_t n;
+                    if (!parseU64(v, n) || n > 0xFFFFFFFFull)
+                        return false;
+                    prm.forensics.depth = unsigned(n);
+                    return true;
+                });
+    opts.option("postmortem", "FILE",
+                "arm abort post-mortem capture and write each "
+                "ptm-postmortem-v1 JSON document to FILE ('-' for "
+                "stderr)",
+                [&prm](const std::string &v) {
+                    if (v.empty())
+                        return false;
+                    prm.forensics.postmortemPath =
+                        v == "-" ? "stderr" : v;
+                    return true;
+                });
+    opts.option("postmortem-on-abort", "N",
+                "arm capture and trigger a post-mortem when any "
+                "transaction reaches N aborts (0 disables)",
+                [&prm](const std::string &v) {
+                    std::uint64_t n;
+                    if (!parseU64(v, n) || n > 0xFFFFFFFFull)
+                        return false;
+                    prm.forensics.onAbortThreshold = unsigned(n);
+                    return true;
+                });
+
     opts.option("durability", "MODE",
                 "commit durability: off (volatile TM) | wal (redo-log "
                 "every commit, stall for the ordered flush)",
-                [&dest](const std::string &v) {
-                    return parseDurability(v, dest.policy);
+                [&prm](const std::string &v) {
+                    return parseDurability(v, prm.persist.policy);
                 });
     opts.option("wal-file", "FILE",
                 "serialize the surviving persistent image (checkpoint "
                 "+ durable log prefix) to FILE at end of run; the "
                 "input of ptm_sim --recover",
-                [&dest](const std::string &v) {
+                [&prm](const std::string &v) {
                     if (v.empty() || v == "-")
                         return false;
-                    dest.walPath = v;
+                    prm.persist.walPath = v;
                     return true;
                 });
     opts.option("crash-at-tick", "TICK",
                 "cut the run at TICK with no drain or cleanup "
                 "(0 = none); torn log tails survive into the dump",
-                [&dest](const std::string &v) {
+                [&prm](const std::string &v) {
                     std::uint64_t n;
                     if (!parseU64(v, n))
                         return false;
-                    dest.crashAtTick = Tick(n);
+                    prm.persist.crashAtTick = Tick(n);
                     return true;
                 });
     opts.option("wal-flush-latency", "TICKS",
                 "ordered-flush base latency charged per durable "
                 "commit (default 300)",
-                [&dest](const std::string &v) {
+                [&prm](const std::string &v) {
                     std::uint64_t n;
                     if (!parseU64(v, n))
                         return false;
-                    dest.flushLatency = Tick(n);
+                    prm.persist.flushLatency = Tick(n);
                     return true;
                 });
     opts.option("wal-bytes-per-cycle", "N",
                 "log-device write bandwidth in bytes per cycle "
                 "(default 16)",
-                [&dest](const std::string &v) {
+                [&prm](const std::string &v) {
                     std::uint64_t n;
                     if (!parseU64(v, n) || n == 0)
                         return false;
-                    dest.logBytesPerCycle = n;
+                    prm.persist.logBytesPerCycle = n;
                     return true;
                 });
 }
@@ -580,6 +540,16 @@ checkOutputSinks(const char *prog,
         }
     }
     return true;
+}
+
+std::vector<OutputSink>
+outputSinks(OutputSink primary, const SystemParams &prm)
+{
+    return {std::move(primary),
+            {"--trace", prm.trace.path},
+            {"--timeseries", prm.timeseries.path},
+            {"--postmortem", prm.forensics.postmortemPath},
+            {"--wal-file", prm.persist.walPath}};
 }
 
 void

@@ -114,6 +114,14 @@ ExperimentResult runWorkload(const std::string &workload_name,
                              unsigned threads = 4,
                              const WorkloadOptList &wl_opts = {});
 
+/**
+ * Run an already-built @p sys to completion and capture its results:
+ * everything in ExperimentResult except verification and the resolved
+ * workload options, which belong to whoever built the system.
+ * @p trace_label names the trace capture ("fft/Sel-PTM").
+ */
+ExperimentResult runSystem(System &sys, const std::string &trace_label);
+
 /** Percent speedup of @p par over @p serial: (serial/par - 1) * 100. */
 double speedupPct(Tick serial, Tick par);
 

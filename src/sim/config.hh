@@ -281,17 +281,6 @@ struct SystemParams
      */
     unsigned memBanks = 1;
 
-    /**
-     * Host-side direct-execution fast-forward: batch up to this many
-     * non-transactional memory/compute ops per event-loop dispatch
-     * when the core has no open transaction and the next pending event
-     * is far enough away that the batch cannot be observed out of
-     * order (conservative lookahead). 0 disables batching (the
-     * default); simulated results are bit-exact either way — only the
-     * host event count changes.
-     */
-    unsigned fastForwardOps = 0;
-
     /** Main-memory access latency (minimum). */
     Tick dramLatency = 200;
     /** Number of memory requests that can be pipelined. */

@@ -303,32 +303,6 @@ class EventQueue
     }
 
     /**
-     * Tick of the earliest pending live event, or maxTick if none.
-     * During event execution this is the next event *after* the one
-     * running — the conservative lookahead bound of the core's
-     * direct-execution fast-forward: nothing else can execute before
-     * this tick, so effects performed early but logically timestamped
-     * strictly before it are unobservable.
-     */
-    Tick
-    nextEventTick()
-    {
-        skipDead();
-        return heap_.empty() ? maxTick : heap_.top().when;
-    }
-
-    /**
-     * The tick limit of the innermost run() in progress (maxTick when
-     * unlimited or idle). Fast-forward must not act past it: events
-     * beyond the limit never execute, so neither may batched ops.
-     */
-    Tick
-    runLimit() const
-    {
-        return run_limit_;
-    }
-
-    /**
      * Tick of the last executed event below Stats priority: where the
      * modeled run ended. Observer events (interval audits, samples)
      * that fire after it do not lengthen the run.
@@ -346,7 +320,6 @@ class EventQueue
     bool
     run(Tick limit = maxTick)
     {
-        run_limit_ = limit;
         while (!empty()) {
             const Ref &top = heap_.top();
             if (top.when > limit) {
@@ -589,7 +562,6 @@ class EventQueue
     std::vector<std::uint32_t> free_;
     Tick cur_tick_ = 0;
     Tick last_model_tick_ = 0;
-    Tick run_limit_ = maxTick;
     std::uint64_t seq_ = 0;
 
     /** Executed-event counters, indexed by priority (always on). */

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "cache/tlb.hh"
@@ -89,16 +88,6 @@ class OsKernel
      */
     XlatResult translate(CoreId core, ProcId proc, Addr vaddr,
                          bool write);
-
-    /**
-     * Zero-latency translation for the direct-execution fast-forward:
-     * performs exactly the TLB-hit path of translate() (same counters,
-     * same LRU motion) and returns the home physical address, or
-     * std::nullopt on a TLB miss *without touching any state*, so the
-     * deferred full translate() replays the miss identically.
-     */
-    std::optional<Addr> translateFast(CoreId core, ProcId proc,
-                                      Addr vaddr);
 
     /** @name Scheduling */
     /// @{

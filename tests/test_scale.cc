@@ -1,8 +1,7 @@
 /**
  * @file
- * Wide-machine scaling: banked interconnect interleaving, the
- * direct-execution fast-forward invariants, configuration validation,
- * and a 64-core audited end-to-end smoke.
+ * Wide-machine scaling: banked interconnect interleaving,
+ * configuration validation, and a 64-core audited end-to-end smoke.
  */
 
 #include <gtest/gtest.h>
@@ -125,7 +124,6 @@ TEST(ValidateParams, AcceptsDefaultsAndWideMachines)
     EXPECT_EQ(validateParams(p), "");
     p.numCores = 64;
     p.memBanks = 256;
-    p.fastForwardOps = 1000;
     EXPECT_EQ(validateParams(p), "");
 }
 
@@ -150,68 +148,6 @@ TEST(ValidateParams, RejectsBadBankCounts)
     EXPECT_NE(validateParams(p), "");
 }
 
-// ------------------------------------------------------ fast-forward
-
-/**
- * The fast-forward contract: simulated results (cycles, commits,
- * aborts, memory ops, cache traffic) are bit-identical to the
- * one-event-per-op path; only host event counts shrink. This is the
- * entry/exit invariant test — a batch entered with an open
- * transaction or acting past a pending snoop's tick would perturb
- * these totals.
- */
-TEST(FastForward, SimulatedResultsUnchangedEventsFewer)
-{
-    for (const char *wl : {"fft", "kv"}) {
-        SystemParams base = quietParams(TmKind::SelectPtm);
-        SystemParams ff = base;
-        ff.fastForwardOps = 32;
-        ExperimentResult a = runWorkload(wl, base, 0, 4);
-        ExperimentResult b = runWorkload(wl, ff, 0, 4);
-        ASSERT_TRUE(a.verified);
-        ASSERT_TRUE(b.verified);
-        EXPECT_EQ(a.cycles, b.cycles) << wl;
-        for (const char *stat :
-             {"tx.commits", "tx.aborts", "sys.mem_ops", "mem.l1_hits",
-              "mem.l2_hits", "mem.misses", "mem.bus_transactions",
-              "os.exceptions", "os.context_switches", "os.tlb_misses"})
-            if (a.snapshot.has(stat) && b.snapshot.has(stat))
-                EXPECT_EQ(a.snapshot.counter(stat),
-                          b.snapshot.counter(stat))
-                    << wl << " " << stat;
-        std::uint64_t ff_ops = 0;
-        for (unsigned c = 0; c < ff.numCores; ++c)
-            ff_ops += b.snapshot.counter(
-                "core" + std::to_string(c) + ".ff_ops");
-        EXPECT_GT(ff_ops, 0u) << wl;
-        EXPECT_LE(b.snapshot.value("events.executed"),
-                  a.snapshot.value("events.executed"))
-            << wl;
-    }
-}
-
-TEST(FastForward, ComposesWithOsNoiseAndQuanta)
-{
-    // Preemption boundaries (quantum + daemon) are batch-exit points;
-    // results must stay identical with them enabled.
-    SystemParams base = quietParams(TmKind::SelectPtm);
-    base.osQuantum = 6000;
-    base.daemonInterval = 9000;
-    SystemParams ff = base;
-    ff.fastForwardOps = 32;
-    ExperimentResult a = runWorkload("fft", base, 0, 4);
-    ExperimentResult b = runWorkload("fft", ff, 0, 4);
-    ASSERT_TRUE(a.verified);
-    ASSERT_TRUE(b.verified);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.snapshot.counter("tx.commits"),
-              b.snapshot.counter("tx.commits"));
-    EXPECT_EQ(a.snapshot.counter("os.context_switches"),
-              b.snapshot.counter("os.context_switches"));
-    EXPECT_EQ(a.snapshot.counter("sys.mem_ops"),
-              b.snapshot.counter("sys.mem_ops"));
-}
-
 // ----------------------------------------------- wide-machine smoke
 
 TEST(WideMachine, SixtyFourCoreAuditedRunPasses)
@@ -219,7 +155,6 @@ TEST(WideMachine, SixtyFourCoreAuditedRunPasses)
     SystemParams p = quietParams(TmKind::SelectPtm);
     p.numCores = 64;
     p.memBanks = 8;
-    p.fastForwardOps = 32;
     p.audit.enabled = true;
     ExperimentResult r = runWorkload("fft", p, 0, 64);
     EXPECT_TRUE(r.verified);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Guard the machine-readable stdout streams of a bench binary.
+"""Guard the machine-readable stdout streams of the bench binaries.
 
-Checks three invocations of the given bench at --scale 0:
+Checks three invocations of the first bench given, at --scale 0:
 
  1. `--json - --trace FILE`  : stdout must be exactly one parseable
     ptm-bench-v1 JSON document (tables/status must go to stderr);
@@ -10,7 +10,13 @@ Checks three invocations of the given bench at --scale 0:
  3. `--json - --trace -`     : both streams cannot own stdout -- the
     binary must refuse with exit code 2 and print nothing on stdout.
 
-Usage: check_bench_streams.py PATH_TO_BENCH
+Every bench given, the first included, must also refuse bad usage
+before running anything:
+
+ 4. `--json - --trace -`     : exit code 2, stdout empty;
+ 5. `--wal-file x`           : exit code 2 (a single-run option).
+
+Usage: check_bench_streams.py BENCH [BENCH ...]
 """
 
 import json
@@ -86,16 +92,36 @@ def check(bench):
     return errors
 
 
+def check_refusals(bench):
+    errors = []
+    proc = run([bench, "--json", "-", "--trace", "-"])
+    if proc.returncode != 2:
+        errors.append(f"--json - --trace -: expected exit 2, got "
+                      f"{proc.returncode}")
+    if proc.stdout.strip():
+        errors.append("--json - --trace -: stdout not empty on refusal")
+    proc = run([bench, "--wal-file", "x"])
+    if proc.returncode != 2:
+        errors.append(f"--wal-file x: expected exit 2, got "
+                      f"{proc.returncode}")
+    return errors
+
+
 def main():
-    if len(sys.argv) != 2:
+    if len(sys.argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
-    errors = check(sys.argv[1])
-    for e in errors:
-        print(f"error: {e}", file=sys.stderr)
-    print(f"{os.path.basename(sys.argv[1])}: "
-          + ("ok" if not errors else f"{len(errors)} error(s)"))
-    return 1 if errors else 0
+    failed = 0
+    for i, bench in enumerate(sys.argv[1:]):
+        errors = check(bench) if i == 0 else []
+        errors += check_refusals(bench)
+        for e in errors:
+            print(f"error: {os.path.basename(bench)}: {e}",
+                  file=sys.stderr)
+        print(f"{os.path.basename(bench)}: "
+              + ("ok" if not errors else f"{len(errors)} error(s)"))
+        failed += bool(errors)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

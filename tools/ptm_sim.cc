@@ -79,7 +79,6 @@ main(int argc, char **argv)
     opts.optionString("stats-json", "FILE",
                       "write ptm-stats-v1 JSON to FILE (- = stdout)",
                       json_path);
-    addPersistOptions(opts, prm.persist);
     std::string recover_path;
     opts.option("recover", "FILE",
                 "recover and verify the crash dump at FILE (written "
@@ -92,15 +91,11 @@ main(int argc, char **argv)
                 });
     WorkloadOptList wl_opts;
     addWorkloadOptions(opts, wl_opts);
-    addTraceOptions(opts, prm.trace);
-    addProfileOptions(opts, prm.profile);
-    RobustnessParams robust;
-    addRobustnessOptions(opts, robust);
-    MachineParams machine;
-    addMachineOptions(opts, machine);
-    ObservabilityParams obs;
-    addObservabilityOptions(opts, obs);
-    addForensicsOptions(opts, obs.forensics);
+    addSystemOptions(opts, prm);
+    opts.flag("host-metrics",
+              "accepted for parity with the bench_* binaries; the "
+              "stats manifest always carries the host throughput",
+              [] {});
     bool list_stats = false;
     opts.flag("list-stats",
               "list every statistic of the configured system and exit",
@@ -123,10 +118,6 @@ main(int argc, char **argv)
     if (!recover_path.empty())
         return recoverRun(recover_path);
 
-    robust.applyTo(prm);
-    obs.applyTo(prm);
-    machine.applyTo(prm);
-
     if (std::string err = validateParams(prm); !err.empty()) {
         std::fprintf(stderr, "ptm_sim: %s\n", err.c_str());
         return 2;
@@ -142,12 +133,7 @@ main(int argc, char **argv)
     // may share one file (they are written at different times, so the
     // later open would silently clobber the earlier output).
     if (!checkOutputSinks("ptm_sim",
-                          {{"--stats-json", json_path},
-                           {"--trace", prm.trace.path},
-                           {"--timeseries", prm.timeseries.path},
-                           {"--postmortem",
-                            prm.forensics.postmortemPath},
-                           {"--wal-file", prm.persist.walPath}}))
+                          outputSinks({"--stats-json", json_path}, prm)))
         return 2;
 
     // Keep stdout machine-readable when either output goes there.
