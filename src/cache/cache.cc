@@ -5,6 +5,8 @@
 
 #include "cache/cache.hh"
 
+#include <memory>
+
 namespace ptm
 {
 
@@ -36,7 +38,17 @@ CacheArray::CacheArray(std::uint64_t bytes, unsigned assoc)
     num_sets_ = unsigned(lines / assoc);
     fatal_if((num_sets_ & (num_sets_ - 1)) != 0,
              "number of cache sets must be a power of two");
-    lines_.resize(lines);
+    lines_ = std::allocator<CacheLine>().allocate(lines);
+    set_built_.assign(num_sets_, 0);
+}
+
+CacheArray::~CacheArray()
+{
+    for (unsigned s = 0; s < num_sets_; ++s)
+        if (set_built_[s])
+            std::destroy_n(lines_ + std::size_t(s) * assoc_, assoc_);
+    std::allocator<CacheLine>().deallocate(
+        lines_, std::size_t(num_sets_) * assoc_);
 }
 
 unsigned
@@ -49,6 +61,8 @@ CacheLine *
 CacheArray::find(Addr block_addr)
 {
     unsigned set = setIndex(block_addr);
+    if (!set_built_[set])
+        return nullptr;
     for (unsigned w = 0; w < assoc_; ++w) {
         CacheLine &l = lines_[size_t(set) * assoc_ + w];
         if (l.valid() && l.addr == block_addr)
@@ -67,6 +81,12 @@ CacheLine &
 CacheArray::victim(Addr block_addr)
 {
     unsigned set = setIndex(block_addr);
+    if (!set_built_[set]) {
+        // First fill of this set: construct its (all invalid) ways.
+        std::uninitialized_value_construct_n(
+            lines_ + size_t(set) * assoc_, assoc_);
+        set_built_[set] = 1;
+    }
     CacheLine *lru = nullptr;
     for (unsigned w = 0; w < assoc_; ++w) {
         CacheLine &l = lines_[size_t(set) * assoc_ + w];

@@ -186,6 +186,13 @@ struct CacheLine
 /**
  * A set-associative array of CacheLine with LRU replacement. Indexing
  * uses the block address bits above blockShift.
+ *
+ * Line storage is allocated raw; a set's lines are constructed when
+ * the set is first filled (victim()), and a set never filled holds no
+ * valid line. Building a System therefore touches none of its L2
+ * storage (480 KB per core at the default 256 KB L2): host memory
+ * follows the sets a run uses, and construction costs no page faults
+ * whatever state the host allocator is in.
  */
 class CacheArray
 {
@@ -195,6 +202,10 @@ class CacheArray
      * @param assoc associativity (1 = direct mapped)
      */
     CacheArray(std::uint64_t bytes, unsigned assoc);
+    ~CacheArray();
+
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
 
     /** Find the line holding @p block_addr, or nullptr. */
     CacheLine *find(Addr block_addr);
@@ -213,14 +224,19 @@ class CacheArray
         line.lastUse = ++use_clock_;
     }
 
-    /** Apply @p fn to every valid line. */
+    /** Apply @p fn to every valid line, in set/way order. */
     template <typename F>
     void
     forEachValid(F &&fn)
     {
-        for (auto &l : lines_)
-            if (l.valid())
-                fn(l);
+        for (unsigned s = 0; s < num_sets_; ++s) {
+            if (!set_built_[s])
+                continue;
+            CacheLine *ways = lines_ + std::size_t(s) * assoc_;
+            for (unsigned w = 0; w < assoc_; ++w)
+                if (ways[w].valid())
+                    fn(ways[w]);
+        }
     }
 
     unsigned numSets() const { return num_sets_; }
@@ -231,7 +247,10 @@ class CacheArray
 
     unsigned num_sets_;
     unsigned assoc_;
-    std::vector<CacheLine> lines_;
+    /** num_sets_ * assoc_ lines; only built sets are constructed. */
+    CacheLine *lines_;
+    /** Per set: its lines have been constructed. */
+    std::vector<std::uint8_t> set_built_;
     std::uint64_t use_clock_ = 0;
 };
 

@@ -61,7 +61,7 @@ runWorkload(const std::string &workload_name, SystemParams params,
     if (const WalManager *wal = sys.wal()) {
         r.walDurableBytes =
             r.crashed ? wal->durableBytesAt(sys.crashTick())
-                      : wal->log().size();
+                      : wal->logBytes();
         if (!params.persist.walPath.empty()) {
             fatal_if(!wl->persistSupported(),
                      "--wal-file: workload %s cannot emit a durable "
@@ -79,7 +79,7 @@ runWorkload(const std::string &workload_name, SystemParams params,
                 [&d](Addr vbase, const std::vector<std::uint32_t> &w) {
                     d.checkpoint.push_back({vbase, w});
                 });
-            d.logBytesTotal = wal->log().size();
+            d.logBytesTotal = wal->logBytes();
             d.log.assign(wal->log().begin(),
                          wal->log().begin() + r.walDurableBytes);
             std::string err;

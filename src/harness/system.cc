@@ -164,8 +164,10 @@ System::System(const SystemParams &params)
     }
 
     if (params_.persist.enabled()) {
-        wal_ = std::make_unique<WalManager>(params_.persist,
-                                            params_.tmKind);
+        // Log bytes are kept in host memory only for a dump.
+        wal_ = std::make_unique<WalManager>(
+            params_.persist, params_.tmKind,
+            !params_.persist.walPath.empty());
         wal_->setTracer(&tracer_);
         if (params_.profile.enabled)
             wal_->setProfiler(&profiler_);

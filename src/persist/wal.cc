@@ -117,8 +117,9 @@ crc32(const std::uint8_t *data, std::size_t n)
 
 // ------------------------------------------------------------ WalManager
 
-WalManager::WalManager(const PersistParams &prm, TmKind kind)
-    : prm_(prm), kind_(kind)
+WalManager::WalManager(const PersistParams &prm, TmKind kind,
+                       bool keepLog)
+    : prm_(prm), kind_(kind), keep_log_(keepLog)
 {}
 
 void
@@ -154,25 +155,30 @@ WalManager::commitTx(TxId tx, std::uint32_t thread, Tick now)
     // program order, which is what recovery's oracle prefix needs.
     const std::uint64_t seq = next_seq_++;
     const std::uint32_t ordinal = ++ordinals_[thread];
-    const std::size_t off0 = log_.size();
-    put32(log_, walRecordMagic);
+    std::vector<std::uint8_t> &rec = record_;
+    rec.clear();
+    put32(rec, walRecordMagic);
     const std::uint32_t len =
         std::uint32_t(walRecordHeaderBytes +
                       writes.size() * walRecordWriteBytes +
                       walRecordCrcBytes);
-    put32(log_, len);
-    put64(log_, seq);
-    put64(log_, tx);
-    put32(log_, thread);
-    put32(log_, ordinal);
-    put32(log_, std::uint32_t(kind_));
-    put32(log_, std::uint32_t(writes.size()));
+    put32(rec, len);
+    put64(rec, seq);
+    put64(rec, tx);
+    put32(rec, thread);
+    put32(rec, ordinal);
+    put32(rec, std::uint32_t(kind_));
+    put32(rec, std::uint32_t(writes.size()));
     for (const auto &[a, v] : writes) {
-        put64(log_, a);
-        put32(log_, v);
+        put64(rec, a);
+        put32(rec, v);
     }
-    put32(log_, crc32(log_.data() + off0, log_.size() - off0));
-    const std::uint64_t bytes = log_.size() - off0;
+    put32(rec, crc32(rec.data(), rec.size()));
+    const std::uint64_t bytes = rec.size();
+    const std::uint64_t off0 = log_bytes_;
+    log_bytes_ += bytes;
+    if (keep_log_)
+        log_.insert(log_.end(), rec.begin(), rec.end());
 
     // Ordered flush: the record drains behind any still-draining
     // predecessor (the log device is strictly ordered), costing the
@@ -183,7 +189,7 @@ WalManager::commitTx(TxId tx, std::uint32_t thread, Tick now)
         Tick((bytes + prm_.logBytesPerCycle - 1) / prm_.logBytesPerCycle);
     const Tick end = start + drain;
     device_free_ = end;
-    appends_.push_back({off0, log_.size(), start, end});
+    appends_.push_back({off0, log_bytes_, start, end});
     const Tick stall = end - now;
 
     ++commits_;

@@ -173,11 +173,19 @@ bool readWalDump(const std::string &path, WalDump &out,
  * The modeled write-ahead log device plus per-transaction redo
  * capture. Built only under `--durability wal` (System holds a
  * nullable unique_ptr), so durability-off runs stay bit-identical.
+ *
+ * The log lives on the modeled device, not in host memory: every
+ * commit serializes its record into one reused buffer and advances a
+ * running byte count, which the drain windows, durableBytesAt, the
+ * trace and the persist.* statistics all read. The bytes themselves
+ * are kept only when @p keepLog is set (System sets it when a
+ * --wal-file dump will be written), so a run's host memory does not
+ * grow with the log; everything but log() reads the same either way.
  */
 class WalManager
 {
   public:
-    WalManager(const PersistParams &prm, TmKind kind);
+    WalManager(const PersistParams &prm, TmKind kind, bool keepLog);
 
     /** Attach the event tracer (System wiring; defaults to nil). */
     void setTracer(Tracer *t) { tracer_ = t; }
@@ -206,8 +214,14 @@ class WalManager
      */
     std::uint64_t durableBytesAt(Tick cut) const;
 
-    /** The full serialized log. */
+    /**
+     * The full serialized log, records in commit-sequence order —
+     * kept only when constructed with keepLog (empty otherwise).
+     */
     const std::vector<std::uint8_t> &log() const { return log_; }
+
+    /** Log bytes appended so far (kept or not). */
+    std::uint64_t logBytes() const { return log_bytes_; }
 
     /** Durable commits so far. */
     std::uint64_t commits() const { return commits_.value(); }
@@ -227,15 +241,24 @@ class WalManager
 
     const PersistParams prm_;
     const TmKind kind_;
+    /** Keep the serialized bytes in log_ (a dump will be written). */
+    const bool keep_log_;
     Tracer *tracer_ = &Tracer::nil();
     CycleProfiler *prof_ = nullptr;
 
     /** Captured redo sets of live transactions. */
     std::unordered_map<TxId, std::vector<std::pair<Addr, std::uint32_t>>>
         pending_;
-    /** The serialized log, records in commit-sequence order. */
+    /** The kept log bytes (keep_log_ only). */
     std::vector<std::uint8_t> log_;
-    /** Append spans, in order (drain windows never overlap). */
+    /** Scratch buffer the commit being logged is serialized into. */
+    std::vector<std::uint8_t> record_;
+    /** Bytes appended so far: the log's end offset on the device. */
+    std::uint64_t log_bytes_ = 0;
+    /**
+     * Append spans, in order (drain windows never overlap). One per
+     * commit, so this still grows with run length (32 B a commit).
+     */
     std::vector<Append> appends_;
     /** Tick the log device next falls idle. */
     Tick device_free_ = 0;

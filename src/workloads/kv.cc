@@ -1,17 +1,20 @@
 /**
  * @file
  * kv serving workload: a transactional B+-tree keyed store driven by
- * pre-generated Zipfian request streams (see kv.hh for the layout and
+ * per-thread Zipfian request streams (see kv.hh for the layout and
  * determinism contract).
  *
- * Each thread replays its own deterministic op program — point
- * lookups, range scans, upserting inserts, and deletes — grouped
- * tx-ops operations per transaction. Every operation walks the tree
- * from the root through loaded child pointers (a genuine pointer
- * chase over simulated memory), so the handful of top-level inner
- * pages is read by every transaction in the system while the Zipfian
- * skew concentrates leaf and occupancy-counter writes on a hot set —
- * the access pattern the paper's SPT/TAV metadata caches target.
+ * Each thread runs its own deterministic op stream — point lookups,
+ * range scans, upserting inserts, and deletes — grouped tx-ops
+ * operations per transaction. A transaction draws its ops from the
+ * stream when it first runs and keeps them until the next one
+ * starts, so a retry after an abort replays the same requests and
+ * nothing longer than one transaction is held. Every operation walks
+ * the tree from the root through loaded child pointers (a genuine
+ * pointer chase over simulated memory), so the handful of top-level
+ * inner pages is read by every transaction in the system while the
+ * Zipfian skew concentrates leaf and occupancy-counter writes on a hot
+ * set — the access pattern the paper's SPT/TAV metadata caches target.
  *
  * Locks mode serializes each op group behind one global spinlock
  * (the coarse-grained baseline a serving tree would need without
@@ -158,54 +161,94 @@ payloadWord(std::uint32_t tag, unsigned w)
                    (std::uint64_t(w) * 2654435761ull));
 }
 
+OpStream::OpStream(const Params &p, const Zipfian &zipf, unsigned thread)
+    : p_(&p), zipf_(&zipf), thread_(thread),
+      rng_(p.seed + std::uint64_t(thread) * 1000003,
+           0xC0FFEEull + thread)
+{}
+
+Op
+OpStream::next()
+{
+    panic_if(done(), "kv thread %u stream read past its %llu ops",
+             thread_, (unsigned long long)p_->ops);
+    const Params &p = *p_;
+    Op op;
+    unsigned roll = rng_.below(100);
+    if (roll < p.lookupPct) {
+        op.type = OpType::Lookup;
+    } else if (roll < p.lookupPct + p.scanPct) {
+        op.type = OpType::Scan;
+        op.len = std::uint32_t(p.scanLen);
+    } else if (roll < p.lookupPct + p.scanPct + p.insertPct) {
+        op.type = OpType::Insert;
+    } else {
+        op.type = OpType::Delete;
+    }
+    std::uint64_t rank = zipf_->sample(rng_);
+    std::uint32_t key = scatterKey(rank, p.keys, p.seed);
+    if (op.isWrite()) {
+        // Remap to this thread's own partition (owner = key mod
+        // threads): reads stay unrestricted, writes never race
+        // another thread on the same key, so the final contents are
+        // interleaving-independent.
+        key = key - key % p.threads + thread_;
+        if (key >= p.keys)
+            key -= p.threads;
+    }
+    op.key = key;
+    ++next_;
+    return op;
+}
+
+const std::vector<Op> &
+TxOpSource::ops(std::uint64_t o0, std::uint64_t o1)
+{
+    if (stream_.position() == o0) {
+        first_ = o0;
+        ops_.clear();
+        while (stream_.position() < o1)
+            ops_.push_back(stream_.next());
+    }
+    panic_if(first_ != o0 || first_ + ops_.size() != o1,
+             "kv ops [%llu, %llu) requested out of order (stream at "
+             "%llu)",
+             (unsigned long long)o0, (unsigned long long)o1,
+             (unsigned long long)stream_.position());
+    return ops_;
+}
+
 std::vector<Op>
 generateProgram(const Params &p, const Zipfian &zipf, unsigned thread)
 {
-    Pcg32 rng(p.seed + std::uint64_t(thread) * 1000003,
-              0xC0FFEEull + thread);
+    OpStream s(p, zipf, thread);
     std::vector<Op> ops;
     ops.reserve(p.ops);
-    for (std::uint64_t i = 0; i < p.ops; ++i) {
-        Op op;
-        unsigned roll = rng.below(100);
-        if (roll < p.lookupPct) {
-            op.type = OpType::Lookup;
-        } else if (roll < p.lookupPct + p.scanPct) {
-            op.type = OpType::Scan;
-            op.len = std::uint32_t(p.scanLen);
-        } else if (roll < p.lookupPct + p.scanPct + p.insertPct) {
-            op.type = OpType::Insert;
-        } else {
-            op.type = OpType::Delete;
-        }
-        std::uint64_t rank = zipf.sample(rng);
-        std::uint32_t key = scatterKey(rank, p.keys, p.seed);
-        if (op.isWrite()) {
-            // Remap to this thread's own partition (owner = key mod
-            // threads): reads stay unrestricted, writes never race
-            // another thread on the same key, so the final contents
-            // are interleaving-independent.
-            key = key - key % p.threads + thread;
-            if (key >= p.keys)
-                key -= p.threads;
-        }
-        op.key = key;
-        ops.push_back(op);
-    }
+    while (!s.done())
+        ops.push_back(s.next());
     return ops;
 }
 
+namespace
+{
+
+/**
+ * The store contents after each thread t ran the first nops(t) ops of
+ * its stream (index = key, value = tag, 0 = absent).
+ */
+template <typename NOps>
 std::vector<std::uint32_t>
-expectedFinal(const Params &p, const Zipfian &zipf)
+applyPrefixes(const Params &p, const Zipfian &zipf, NOps nops)
 {
     std::vector<std::uint32_t> tags(p.keys, 0);
     for (std::uint32_t k = 0; k < p.keys; ++k)
         if (preloaded(p, k))
             tags[k] = preloadTag(p.seed, k);
     for (unsigned t = 0; t < p.threads; ++t) {
-        auto prog = generateProgram(p, zipf, t);
-        for (std::size_t i = 0; i < prog.size(); ++i) {
-            const Op &op = prog[i];
+        OpStream s(p, zipf, t);
+        const std::uint64_t n = nops(t);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const Op op = s.next();
             if (op.type == OpType::Insert)
                 tags[op.key] = valueTag(p.seed, t, i, op.key);
             else if (op.type == OpType::Delete)
@@ -213,30 +256,24 @@ expectedFinal(const Params &p, const Zipfian &zipf)
         }
     }
     return tags;
+}
+
+} // namespace
+
+std::vector<std::uint32_t>
+expectedFinal(const Params &p, const Zipfian &zipf)
+{
+    return applyPrefixes(p, zipf, [&](unsigned) { return p.ops; });
 }
 
 std::vector<std::uint32_t>
 expectedAfterCommits(const Params &p, const Zipfian &zipf,
                      const std::vector<std::uint64_t> &counts)
 {
-    std::vector<std::uint32_t> tags(p.keys, 0);
-    for (std::uint32_t k = 0; k < p.keys; ++k)
-        if (preloaded(p, k))
-            tags[k] = preloadTag(p.seed, k);
-    for (unsigned t = 0; t < p.threads; ++t) {
-        auto prog = generateProgram(p, zipf, t);
+    return applyPrefixes(p, zipf, [&](unsigned t) {
         std::uint64_t committed = t < counts.size() ? counts[t] : 0;
-        std::uint64_t nops =
-            std::min<std::uint64_t>(prog.size(), committed * p.txOps);
-        for (std::size_t i = 0; i < nops; ++i) {
-            const Op &op = prog[i];
-            if (op.type == OpType::Insert)
-                tags[op.key] = valueTag(p.seed, t, i, op.key);
-            else if (op.type == OpType::Delete)
-                tags[op.key] = 0;
-        }
-    }
-    return tags;
+        return std::min<std::uint64_t>(p.ops, committed * p.txOps);
+    });
 }
 
 void
@@ -364,11 +401,9 @@ class KvWorkload : public Workload
           layout_(params_.keys, params_.vwords),
           zipf_(params_.keys, params_.zipf)
     {
-        programs_.reserve(cfg_.threads);
-        for (unsigned t = 0; t < cfg_.threads; ++t)
-            programs_.push_back(kv::generateProgram(params_, zipf_, t));
         if (params_.dropWrite != 0)
-            drop_idx_ = kv::chooseDropIndex(programs_[0]);
+            drop_idx_ = kv::chooseDropIndex(
+                kv::generateProgram(params_, zipf_, 0));
         // The scale=0 preset shrinks some non-explicit options; write
         // the effective values back so the stats manifest records the
         // configuration that actually ran, not the declared defaults.
@@ -387,6 +422,11 @@ class KvWorkload : public Workload
         barrier_ = sys.createBarrier(cfg_.threads);
         const unsigned T = cfg_.threads;
 
+        sources_.clear();
+        sources_.reserve(T);
+        for (unsigned t = 0; t < T; ++t)
+            sources_.emplace_back(params_, zipf_, t);
+
         std::vector<std::vector<Step>> steps(T);
         for (unsigned t = 0; t < T; ++t) {
             steps[t].push_back(PlainStep{[this, t](MemCtx m) -> TxCoro {
@@ -396,7 +436,7 @@ class KvWorkload : public Workload
         }
 
         for (unsigned t = 0; t < T; ++t) {
-            const std::uint64_t n = programs_[t].size();
+            const std::uint64_t n = params_.ops;
             for (std::uint64_t o0 = 0; o0 < n; o0 += params_.txOps) {
                 std::uint64_t o1 = std::min(n, o0 + params_.txOps);
                 auto body = [this, t, o0, o1](MemCtx m) -> TxCoro {
@@ -568,8 +608,9 @@ class KvWorkload : public Workload
     runOps(MemCtx m, unsigned t, std::uint64_t o0, std::uint64_t o1)
     {
         const std::uint64_t V = params_.vwords;
+        const std::vector<Op> &ops = sources_[t].ops(o0, o1);
         for (std::uint64_t i = o0; i < o1; ++i) {
-            const Op &op = programs_[t][i];
+            const Op op = ops[i - o0];
             const bool drop = t == 0 && i == drop_idx_;
 
             // Root-to-leaf walk through loaded child pointers: a
@@ -660,9 +701,10 @@ class KvWorkload : public Workload
 
     kv::Params params_;
     Layout layout_;
-    /** Key-rank sampler shared by program generation and the oracles. */
+    /** Key-rank sampler shared by the op streams and the oracles. */
     Zipfian zipf_;
-    std::vector<std::vector<Op>> programs_;
+    /** Per-thread request sources, reset by build(). */
+    std::vector<kv::TxOpSource> sources_;
     std::size_t drop_idx_ = SIZE_MAX;
     ProcId proc_ = 0;
     unsigned barrier_ = 0;

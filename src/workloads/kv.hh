@@ -1,10 +1,10 @@
 /**
  * @file
  * Public surface of the kv serving workload: request-stream
- * parameters, the deterministic op-program generator, and the B+-tree
+ * parameters, the deterministic per-thread op stream, and the B+-tree
  * page layout. Split from kv.cc so the unit tests can exercise
- * program generation, the Zipfian key mapping, and the node/page
- * layout without running the simulator.
+ * op generation, the Zipfian key mapping, and the node/page layout
+ * without running the simulator.
  *
  * The store is a B+-tree over a dense power-of-two key space laid out
  * in simulated memory:
@@ -24,6 +24,11 @@
  * (owner(k) = k mod threads), which keeps the final store contents
  * independent of commit interleaving: the host oracle replays each
  * thread's stream sequentially and compares the final memory image.
+ *
+ * No thread's whole program is ever stored: the simulated threads,
+ * the oracles and the tests all draw ops from an OpStream, so host
+ * memory for requests is one transaction's ops per thread, whatever
+ * the run length.
  */
 
 #ifndef PTM_WORKLOADS_KV_HH
@@ -33,6 +38,7 @@
 #include <functional>
 #include <vector>
 
+#include "sim/random.hh"
 #include "sim/types.hh"
 #include "workloads/workload.hh"
 #include "workloads/zipfian.hh"
@@ -109,13 +115,66 @@ struct Op
 };
 
 /**
- * Generate thread @p thread's op program: bit-exact for a given
- * (params, thread), independent of everything else. Keys are drawn
- * Zipfian-by-rank from @p zipf, which must be Zipfian(p.keys, p.zipf)
- * (building one sums a term per key, so a workload builds it once for
- * its programs and oracles), and scattered over the key space by a
- * seeded bijection; write ops are remapped to the thread's own key
- * partition.
+ * Thread @p thread's op stream: its p.ops requests, one at a time, in
+ * program order. Bit-exact for a given (params, thread), independent
+ * of everything else. Keys are drawn Zipfian-by-rank from @p zipf,
+ * which must be Zipfian(p.keys, p.zipf) (building one sums a term per
+ * key, so a workload builds it once for its streams and oracles), and
+ * scattered over the key space by a seeded bijection; write ops are
+ * remapped to the thread's own key partition. Holds references to
+ * @p p and @p zipf, which must outlive it.
+ */
+class OpStream
+{
+  public:
+    OpStream(const Params &p, const Zipfian &zipf, unsigned thread);
+
+    /** Index of the next op (= ops yielded so far). */
+    std::uint64_t position() const { return next_; }
+
+    /** Whether all p.ops ops have been yielded. */
+    bool done() const { return next_ == p_->ops; }
+
+    /** Yield the next op (must not be done()). */
+    Op next();
+
+  private:
+    const Params *p_;
+    const Zipfian *zipf_;
+    unsigned thread_;
+    Pcg32 rng_;
+    std::uint64_t next_ = 0;
+};
+
+/**
+ * One thread's transactions over its OpStream. ops(o0, o1) hands out
+ * ops [o0, o1): drawn from the stream on the transaction's first
+ * attempt and kept, so a retry after an abort replays the same ops.
+ * A thread runs its transactions in order, so each request is either
+ * the next transaction (the stream is at o0) or a retry of the last
+ * one; anything else panics.
+ */
+class TxOpSource
+{
+  public:
+    TxOpSource(const Params &p, const Zipfian &zipf, unsigned thread)
+        : stream_(p, zipf, thread)
+    {}
+
+    /** Ops [o0, o1) of the thread's program. */
+    const std::vector<Op> &ops(std::uint64_t o0, std::uint64_t o1);
+
+  private:
+    OpStream stream_;
+    /** Stream index of ops_[0]. */
+    std::uint64_t first_ = 0;
+    std::vector<Op> ops_;
+};
+
+/**
+ * Thread @p thread's whole op program: every op of its OpStream in
+ * one vector. The workload never stores one; the drop-write hook and
+ * the tests do.
  */
 std::vector<Op> generateProgram(const Params &p, const Zipfian &zipf,
                                 unsigned thread);
@@ -140,7 +199,8 @@ std::uint32_t payloadWord(std::uint32_t tag, unsigned w);
 /**
  * The final store contents (index = key, value = tag, 0 = absent)
  * after every thread's program ran — the sequential oracle. Valid
- * because writes are key-partitioned per thread.
+ * because writes are key-partitioned per thread. Applies each op as
+ * its thread's OpStream yields it; no program is stored.
  */
 std::vector<std::uint32_t> expectedFinal(const Params &p,
                                          const Zipfian &zipf);

@@ -101,6 +101,44 @@ TEST(CacheArray, ForEachValidSkipsInvalid)
     EXPECT_EQ(n, 0u);
 }
 
+// Sets are built on first fill: an unfilled set finds nothing, its
+// first victim is way 0 (the invalid way an eagerly built set would
+// give), and filling one set leaves the others empty.
+TEST(CacheArray, SetsAreBuiltOnFirstFill)
+{
+    CacheArray c(16 * blockBytes, 4); // 4 sets of 4 ways
+    for (unsigned s = 0; s < 4; ++s)
+        EXPECT_EQ(c.find(s * blockBytes), nullptr);
+    unsigned n = 0;
+    c.forEachValid([&](CacheLine &) { ++n; });
+    EXPECT_EQ(n, 0u);
+
+    // Fill all four ways of set 1 (addresses 1, 5, 9, 13 blocks).
+    std::vector<CacheLine *> ways;
+    for (unsigned w = 0; w < 4; ++w) {
+        Addr a = (1 + 4 * w) * blockBytes;
+        CacheLine &l = c.victim(a);
+        EXPECT_FALSE(l.valid());
+        EXPECT_TRUE(l.marks.empty());
+        EXPECT_EQ(l.dirtyWords, 0u);
+        EXPECT_EQ(l.readWord32(0), 0u);
+        l.addr = a;
+        l.state = Moesi::M;
+        c.touch(l);
+        ways.push_back(&l);
+    }
+    // Way order within the set is the fill order: way 0 first.
+    for (unsigned w = 1; w < 4; ++w)
+        EXPECT_EQ(ways[w], ways[0] + w);
+    EXPECT_EQ(c.find(0), nullptr); // set 0 is still unbuilt
+    n = 0;
+    c.forEachValid([&](CacheLine &l) {
+        EXPECT_EQ(&l, ways[n]);
+        ++n;
+    });
+    EXPECT_EQ(n, 4u);
+}
+
 TEST(L1Filter, InsertFindInvalidate)
 {
     L1Filter f(8 * blockBytes, 1);

@@ -1,13 +1,15 @@
 /**
  * @file
  * The kv serving workload, host side first: the Zipfian sampler, the
- * deterministic op-program generator, the B+-tree page layout, and the
- * sequential oracle (including that it catches a seeded lost update),
+ * deterministic op stream and its per-transaction source (retries
+ * replay), the B+-tree page layout, and the sequential oracles
+ * (streamed = materialized; a seeded lost update is caught),
  * then the full workload on every TM backend and its registry entry.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -105,6 +107,92 @@ TEST(KvProgram, WritesStayInOwnerPartition)
     EXPECT_NEAR(count[kv::OpType::Scan] / total, 0.15, 0.05);
     EXPECT_NEAR(count[kv::OpType::Insert] / total, 0.15, 0.05);
     EXPECT_NEAR(count[kv::OpType::Delete] / total, 0.10, 0.05);
+}
+
+// The workload's per-transaction source must hand out exactly the
+// materialized program, in tx-ops slices, and a second request for the
+// same slice (a retry after an abort) must replay it unchanged.
+TEST(KvProgram, TxSourceYieldsTheProgramAndReplaysRetries)
+{
+    kv::Params p = tinyParams();
+    p.txOps = 7; // 1500 ops: 214 full transactions and a 2-op tail
+    const Zipfian zipf(p.keys, p.zipf);
+    for (unsigned t = 0; t < p.threads; ++t) {
+        const auto prog = kv::generateProgram(p, zipf, t);
+        kv::TxOpSource src(p, zipf, t);
+        for (std::uint64_t o0 = 0; o0 < p.ops; o0 += p.txOps) {
+            const std::uint64_t o1 = std::min(p.ops, o0 + p.txOps);
+            const std::vector<kv::Op> want(prog.begin() + o0,
+                                           prog.begin() + o1);
+            ASSERT_TRUE(src.ops(o0, o1) == want)
+                << "thread " << t << " ops [" << o0 << ", " << o1 << ")";
+            // Transactions are retried 0, 1 or 2 times in turn.
+            for (std::uint64_t r = 0; r < (o0 / p.txOps) % 3; ++r)
+                ASSERT_TRUE(src.ops(o0, o1) == want)
+                    << "retry of thread " << t << " ops [" << o0
+                    << ", " << o1 << ")";
+        }
+        kv::OpStream s(p, zipf, t);
+        for (std::uint64_t i = 0; i < p.ops; ++i)
+            ASSERT_TRUE(s.next() == prog[i]) << "thread " << t;
+        EXPECT_TRUE(s.done());
+    }
+}
+
+TEST(KvProgramDeathTest, TxSourceRefusesOutOfOrderRequests)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    kv::Params p = tinyParams();
+    const Zipfian zipf(p.keys, p.zipf);
+    kv::TxOpSource src(p, zipf, 0);
+    src.ops(0, 32);
+    EXPECT_DEATH(src.ops(64, 96), "out of order");
+}
+
+/**
+ * The oracles, recomputed from materialized programs: what the host
+ * checks a run against must not depend on how the ops are produced.
+ */
+std::vector<std::uint32_t>
+referenceTags(const kv::Params &p, const Zipfian &zipf,
+              const std::vector<std::uint64_t> &nops)
+{
+    std::vector<std::uint32_t> tags(p.keys, 0);
+    for (std::uint32_t k = 0; k < p.keys; ++k)
+        if (kv::preloaded(p, k))
+            tags[k] = kv::preloadTag(p.seed, k);
+    for (unsigned t = 0; t < p.threads; ++t) {
+        const auto prog = kv::generateProgram(p, zipf, t);
+        for (std::size_t i = 0; i < nops[t]; ++i) {
+            if (prog[i].type == kv::OpType::Insert)
+                tags[prog[i].key] =
+                    kv::valueTag(p.seed, t, i, prog[i].key);
+            else if (prog[i].type == kv::OpType::Delete)
+                tags[prog[i].key] = 0;
+        }
+    }
+    return tags;
+}
+
+TEST(KvOracle, StreamedOraclesEqualMaterializedReference)
+{
+    kv::Params p = tinyParams();
+    const Zipfian zipf(p.keys, p.zipf);
+    const std::vector<std::uint64_t> all(p.threads, p.ops);
+    EXPECT_TRUE(kv::expectedFinal(p, zipf) == referenceTags(p, zipf, all));
+
+    // Committed prefixes: none, some, all (the last transaction is
+    // partial, so the count is clamped to the program), more than all,
+    // and missing thread entries.
+    const std::uint64_t txs = (p.ops + p.txOps - 1) / p.txOps;
+    const std::vector<std::uint64_t> counts = {0, 5, txs, txs + 3};
+    const std::vector<std::uint64_t> nops = {0, 5 * p.txOps, p.ops, p.ops};
+    EXPECT_TRUE(kv::expectedAfterCommits(p, zipf, counts) ==
+                referenceTags(p, zipf, nops));
+    EXPECT_TRUE(kv::expectedAfterCommits(p, zipf, {17}) ==
+                referenceTags(p, zipf, {17 * p.txOps, 0, 0, 0}));
+    EXPECT_TRUE(kv::expectedAfterCommits(p, zipf, all) ==
+                kv::expectedFinal(p, zipf));
 }
 
 TEST(KvLayout, NodeGeometry)

@@ -5,7 +5,8 @@
  * truncation at EVERY byte offset of a multi-record log (each cut
  * must replay as a clean prefix or a reported torn tail — never a
  * silent partial image), corruption rejection with offset-bearing
- * diagnostics, ordered-flush drain accounting, and dump file I/O
+ * diagnostics, ordered-flush drain accounting, that keeping the log
+ * bytes changes no statistic or crash cut, and dump file I/O
  * including region-CRC verification.
  */
 
@@ -20,6 +21,7 @@
 
 #include "persist/wal.hh"
 #include "sim/config.hh"
+#include "sim/stats.hh"
 
 namespace ptm
 {
@@ -40,7 +42,7 @@ walParams()
 std::vector<std::uint8_t>
 sampleLog(std::vector<std::size_t> *boundaries = nullptr)
 {
-    WalManager wal(walParams(), TmKind::SelectPtm);
+    WalManager wal(walParams(), TmKind::SelectPtm, true);
     std::vector<std::size_t> ends;
 
     wal.noteStore(11, 0x1000, 5);
@@ -109,7 +111,7 @@ TEST(WalRecord, RoundTripThroughManager)
 
 TEST(WalRecord, AbortedRedoSetNeverReachesLog)
 {
-    WalManager wal(walParams(), TmKind::SelectPtm);
+    WalManager wal(walParams(), TmKind::SelectPtm, true);
     wal.noteStore(21, 0x2000, 7);
     wal.discard(21);
     wal.noteStore(22, 0x2008, 8);
@@ -194,11 +196,11 @@ TEST(WalDrain, DurableBytesAreProportionalToTheFlush)
     PersistParams prm = walParams();
     prm.flushLatency = 100;
     prm.logBytesPerCycle = 1;
-    WalManager wal(prm, TmKind::SelectPtm);
+    WalManager wal(prm, TmKind::SelectPtm, true);
 
     wal.noteStore(31, 0x3000, 1);
     Tick stall = wal.commitTx(31, 0, 1000);
-    std::uint64_t bytes = wal.log().size();
+    std::uint64_t bytes = wal.logBytes();
     // Drain window: [1000, 1000 + flushLatency + bytes/1B-per-cycle].
     EXPECT_EQ(stall, Tick(100 + bytes));
 
@@ -214,6 +216,78 @@ TEST(WalDrain, DurableBytesAreProportionalToTheFlush)
     wal.noteStore(32, 0x3008, 2);
     Tick stall2 = wal.commitTx(32, 0, 1001);
     EXPECT_GT(stall2, stall);
+}
+
+// Keeping the log bytes is a host-memory choice, not a model one: a
+// manager that keeps them and one that does not, fed the same stream,
+// agree on every statistic, every crash cut and the running total.
+TEST(WalKeepLog, KeptAndUnkeptManagersAgree)
+{
+    WalManager kept(walParams(), TmKind::CopyPtm, true);
+    WalManager lean(walParams(), TmKind::CopyPtm, false);
+    StatRegistry kreg, lreg;
+    kept.regStats(kreg);
+    lean.regStats(lreg);
+
+    std::vector<Tick> stalls[2];
+    auto feed = [&](WalManager &w, std::vector<Tick> &st) {
+        Tick now = 1000;
+        for (TxId tx = 1; tx <= 40; ++tx) {
+            for (unsigned k = 0; k < tx % 5; ++k)
+                w.noteStore(tx, 0x4000 + 8 * ((tx * 7 + k) % 23),
+                            std::uint32_t(tx * 100 + k));
+            if (tx % 7 == 0) {
+                w.discard(tx); // aborted: never logged
+                continue;
+            }
+            st.push_back(w.commitTx(tx, std::uint32_t(tx % 3), now));
+            now += 40 + 30 * (tx % 4); // some commits queue, some not
+        }
+    };
+    feed(kept, stalls[0]);
+    feed(lean, stalls[1]);
+    EXPECT_EQ(stalls[0], stalls[1]);
+
+    EXPECT_TRUE(lean.log().empty());
+    ASSERT_GT(kept.logBytes(), 0u);
+    EXPECT_EQ(kept.log().size(), kept.logBytes());
+    EXPECT_EQ(lean.logBytes(), kept.logBytes());
+    EXPECT_EQ(lean.commits(), kept.commits());
+
+    // Every persist.* statistic, whatever its kind, reads the same.
+    StatSnapshot ks(kreg), ls(lreg);
+    ASSERT_EQ(ks.groups().size(), 1u);
+    const auto &kstats = ks.groups()[0].stats;
+    const auto &lstats = ls.groups()[0].stats;
+    ASSERT_EQ(kstats.size(), lstats.size());
+    ASSERT_GE(kstats.size(), 6u);
+    for (std::size_t i = 0; i < kstats.size(); ++i) {
+        const auto &[name, kval] = kstats[i];
+        const StatValue &lv = lstats[i].second;
+        EXPECT_EQ(name, lstats[i].first);
+        EXPECT_EQ(kval.value, lv.value) << name;
+        EXPECT_EQ(kval.count, lv.count) << name;
+        EXPECT_EQ(kval.dist.counts, lv.dist.counts) << name;
+        EXPECT_EQ(kval.dist.samples, lv.dist.samples) << name;
+        EXPECT_EQ(kval.dist.sum, lv.dist.sum) << name;
+        EXPECT_EQ(kval.dist.max, lv.dist.max) << name;
+    }
+    EXPECT_EQ(ks.counter("persist.log_bytes"), kept.logBytes());
+    EXPECT_GT(ks.counter("persist.empty_commits"), 0u);
+    EXPECT_GT(ks.counter("persist.flush_stall_ticks"), 0u);
+
+    // Every cut from before the first commit to past the last drain.
+    for (Tick cut = 900; cut < 6000; cut += 7)
+        ASSERT_EQ(lean.durableBytesAt(cut), kept.durableBytesAt(cut))
+            << "cut " << cut;
+    EXPECT_EQ(kept.durableBytesAt(maxTick), kept.logBytes());
+
+    // The kept bytes still replay: every committed tx, in order.
+    WalReplay r = replayWal(kept.log().data(), kept.log().size());
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.tornBytes, 0u);
+    EXPECT_EQ(r.records.size(), kept.commits());
+    EXPECT_EQ(r.records.back().tx, 40u);
 }
 
 TEST(WalDump, FileRoundTrip)

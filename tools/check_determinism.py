@@ -10,9 +10,16 @@ simulator's behavior depends on host state (iteration order, pointer
 values, allocation reuse) and fails the gate.
 
 Usage:
-    check_determinism.py <ptm_sim> [extra args...]
+    check_determinism.py [--with-trace] <ptm_sim> [extra args...]
+                         [-- second-run args...]
 
 With no extra args a default matrix of configurations is exercised.
+Arguments after ``--`` are added to the second run only: options that
+must not change simulated results (an output sink such as
+``--wal-file``) are checked the same way as a repeat run.
+``--with-trace`` also writes each run's ptm-trace-v1 JSONL (narrow it
+with ``--trace-categories`` in the extra args) and requires the two
+traces to be identical too.
 """
 
 import json
@@ -43,8 +50,10 @@ DEFAULT_CONFIGS = [
 ]
 
 
-def run_once(sim, args, out):
+def run_once(sim, args, out, trace=None):
     cmd = [sim, *args, "--stats-json", str(out)]
+    if trace:
+        cmd += ["--trace", str(trace)]
     res = subprocess.run(cmd, stdout=subprocess.PIPE,
                          stderr=subprocess.STDOUT, text=True)
     if res.returncode != 0:
@@ -83,19 +92,44 @@ def diff_paths(a, b, prefix=""):
 
 
 def main():
-    if len(sys.argv) < 2:
+    argv = sys.argv[1:]
+    with_trace = bool(argv) and argv[0] == "--with-trace"
+    if with_trace:
+        argv = argv[1:]
+    if not argv:
         raise SystemExit(__doc__)
-    sim = sys.argv[1]
-    extra = sys.argv[2:]
+    sim = argv[0]
+    extra = argv[1:]
+    second = []
+    if "--" in extra:
+        cut = extra.index("--")
+        extra, second = extra[:cut], extra[cut + 1:]
+        if not extra or not second:
+            raise SystemExit("'--' needs a configuration before it and "
+                             "second-run arguments after it")
     configs = [extra] if extra else DEFAULT_CONFIGS
 
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, cfg in enumerate(configs):
-            a = scrub(run_once(sim, cfg, Path(tmp) / f"{i}_a.json"))
-            b = scrub(run_once(sim, cfg, Path(tmp) / f"{i}_b.json"))
+            traces = [Path(tmp) / f"{i}_{r}.jsonl" if with_trace else None
+                      for r in "ab"]
+            a = scrub(run_once(sim, cfg, Path(tmp) / f"{i}_a.json",
+                               traces[0]))
+            b = scrub(run_once(sim, cfg + second,
+                               Path(tmp) / f"{i}_b.json", traces[1]))
             diffs = list(diff_paths(a, b))
+            if with_trace:
+                ta, tb = (t.read_text().splitlines() for t in traces)
+                if len(ta) < 3:
+                    diffs.append(f"trace: only {len(ta)} line(s), "
+                                 "no events to compare")
+                diffs += [f"trace{p}" for p in
+                          diff_paths([json.loads(x) for x in ta],
+                                     [json.loads(x) for x in tb])]
             label = " ".join(cfg)
+            if second:
+                label += " | second run adds " + " ".join(second)
             if diffs:
                 failures += 1
                 print(f"FAIL [{label}]: {len(diffs)} divergent "
@@ -106,7 +140,7 @@ def main():
                 print(f"OK   [{label}]")
     if failures:
         raise SystemExit(f"{failures} configuration(s) diverged "
-                         "between identical runs")
+                         "between the two runs")
     print(f"determinism: {len(configs)} configuration(s), repeat runs "
           "bit-identical")
 

@@ -92,10 +92,6 @@ main(int argc, char **argv)
     WorkloadOptList wl_opts;
     addWorkloadOptions(opts, wl_opts);
     addSystemOptions(opts, prm);
-    opts.flag("host-metrics",
-              "accepted for parity with the bench_* binaries; the "
-              "stats manifest always carries the host throughput",
-              [] {});
     bool list_stats = false;
     opts.flag("list-stats",
               "list every statistic of the configured system and exit",
