@@ -105,7 +105,6 @@ runSystem(System &sys, const std::string &trace_label)
                         .count();
     r.snapshot = sys.snapshot();
     r.eventsExecuted = r.snapshot.value("events.executed");
-    r.stats = sys.stats();
     r.crashed = sys.crashed();
     if (r.crashed)
         r.crashTick = sys.crashTick();

@@ -620,65 +620,6 @@ System::readWord32(ProcId proc, Addr vaddr)
     return mem_.debugReadWord32(xr.paddr);
 }
 
-RunStats
-System::stats() const
-{
-    RunStats s;
-    s.cycles = os_.lastExitTick() ? os_.lastExitTick() : eq_.curTick();
-    s.hitTickLimit = hit_limit_;
-
-    s.commits = txmgr_.commits.value();
-    s.aborts = txmgr_.aborts.value();
-    s.abortsNonTx = txmgr_.abortsNonTx.value();
-    s.abortsMultiWriter = txmgr_.abortsMultiWriter.value();
-
-    for (const auto &c : cores_)
-        s.memOps += c->memOps.value();
-    s.l1Hits = mem_.l1Hits.value();
-    s.l2Hits = mem_.l2Hits.value();
-    s.evictions = mem_.evictions.value();
-    s.txEvictions = mem_.txEvictions.value();
-    s.conflicts = mem_.conflicts.value();
-    s.stalls = mem_.falseStalls.value();
-
-    auto &self = const_cast<System &>(*this);
-    s.busTransactions = self.mem_.bus().transactions();
-    s.dramAccesses = self.mem_.dram().accesses();
-
-    s.exceptions = os_.exceptions.value();
-    s.contextSwitches = os_.contextSwitches.value();
-    s.pageFaults = os_.pageFaults.value();
-    s.swapIns = os_.swapIns.value();
-    s.swapOuts = os_.swapOuts.value();
-    s.uniquePages = os_.uniquePages();
-    s.txWrittenPages = os_.txWrittenPages();
-
-    if (vts_) {
-        s.shadowAllocs = vts_->shadowAllocs.value();
-        s.shadowFrees = vts_->shadowFrees.value();
-        s.liveShadowPages = vts_->liveShadowPages();
-        s.avgLiveDirtyPages = vts_->liveDirtyPagesStat().mean();
-        s.commitWalkNodes = vts_->commitWalkNodes.value();
-        s.abortWalkNodes = vts_->abortWalkNodes.value();
-        s.copyBackups = vts_->copyBackups.value();
-        s.abortRestoreUnits = vts_->abortRestoreUnits.value();
-        s.lazyMigrations = vts_->lazyMigrations.value();
-        s.sptCacheHits = vts_->sptCache.hits.value();
-        s.sptCacheMisses = vts_->sptCache.misses.value();
-        s.tavCacheHits = vts_->tavCache.hits.value();
-        s.tavCacheMisses = vts_->tavCache.misses.value();
-    }
-    if (auto *vtm = dynamic_cast<const VtmController *>(backend_.get())) {
-        s.xadtEntries = vtm->xadtInserts.value();
-        s.xadtCopybacks = vtm->copybacks.value();
-        s.xfFiltered = vtm->xfFiltered.value();
-        s.xadcHits = vtm->xadcHits.value();
-        s.xadcMisses = vtm->xadcMisses.value();
-        s.victimCacheHits = vtm->victimHits.value();
-    }
-    return s;
-}
-
 void
 System::dumpStats(std::ostream &out) const
 {

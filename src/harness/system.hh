@@ -13,7 +13,8 @@
  *     ProcId proc = sys.createProcess();
  *     sys.addThread(proc, steps);  // coroutine-step program
  *     sys.run();
- *     RunStats s = sys.stats();
+ *     StatSnapshot s = sys.snapshot();
+ *     std::uint64_t commits = s.counter("tx.commits");
  * @endcode
  */
 
@@ -45,85 +46,6 @@
 
 namespace ptm
 {
-
-/** Aggregated end-of-run statistics. */
-struct RunStats
-{
-    Tick cycles = 0;
-    bool hitTickLimit = false;
-
-    std::uint64_t commits = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t abortsNonTx = 0;
-    std::uint64_t abortsMultiWriter = 0;
-
-    std::uint64_t memOps = 0;
-    std::uint64_t l1Hits = 0;
-    std::uint64_t l2Hits = 0;
-    std::uint64_t busTransactions = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t txEvictions = 0;
-    std::uint64_t dramAccesses = 0;
-    std::uint64_t conflicts = 0;
-    std::uint64_t stalls = 0;
-
-    std::uint64_t exceptions = 0;
-    std::uint64_t contextSwitches = 0;
-    std::uint64_t pageFaults = 0;
-    std::uint64_t swapIns = 0;
-    std::uint64_t swapOuts = 0;
-
-    std::uint64_t uniquePages = 0;
-    std::uint64_t txWrittenPages = 0;
-
-    /** PTM-specific (zero for other backends). */
-    std::uint64_t shadowAllocs = 0;
-    std::uint64_t shadowFrees = 0;
-    std::uint64_t liveShadowPages = 0;
-    double avgLiveDirtyPages = 0.0;
-    std::uint64_t commitWalkNodes = 0;
-    std::uint64_t abortWalkNodes = 0;
-    std::uint64_t copyBackups = 0;
-    std::uint64_t abortRestoreUnits = 0;
-    std::uint64_t lazyMigrations = 0;
-    std::uint64_t sptCacheHits = 0;
-    std::uint64_t sptCacheMisses = 0;
-    std::uint64_t tavCacheHits = 0;
-    std::uint64_t tavCacheMisses = 0;
-
-    /** VTM-specific (zero for other backends). */
-    std::uint64_t xadtEntries = 0;
-    std::uint64_t xadtCopybacks = 0;
-    std::uint64_t xfFiltered = 0;
-    std::uint64_t xadcHits = 0;
-    std::uint64_t xadcMisses = 0;
-    std::uint64_t victimCacheHits = 0;
-
-    /** Memory operations per eviction (Table 1 "mop/evict"). */
-    double
-    mopPerEvict() const
-    {
-        return evictions ? double(memOps) / double(evictions) : 0.0;
-    }
-
-    /** Conservative shadow-page overhead bound (Table 1). */
-    double
-    conservativePct() const
-    {
-        return uniquePages
-                   ? 100.0 * double(txWrittenPages) / double(uniquePages)
-                   : 0.0;
-    }
-
-    /** Idealized shadow-page overhead (Table 1 "ideal"). */
-    double
-    idealPct() const
-    {
-        return uniquePages
-                   ? 100.0 * avgLiveDirtyPages / double(uniquePages)
-                   : 0.0;
-    }
-};
 
 class System
 {
@@ -178,12 +100,6 @@ class System
 
     /** A by-value capture of every registered statistic. */
     StatSnapshot snapshot() const { return StatSnapshot(registry_); }
-
-    /**
-     * Aggregate statistics (valid after run()). Legacy flat view kept
-     * for tests and examples; front ends use registry()/snapshot().
-     */
-    RunStats stats() const;
 
     /** Print a "group.stat value" dump of the whole registry. */
     void dumpStats(std::ostream &os) const;

@@ -216,7 +216,7 @@ TEST(FlightRecorder, RingDropsCountedWithoutLosingTotals)
 }
 
 Tick
-contendedRunCycles(unsigned depth, bool arm, RunStats &out)
+contendedRunCycles(unsigned depth, bool arm, StatSnapshot &out)
 {
     SystemParams prm = contendedParams();
     prm.forensics.depth = depth;
@@ -228,7 +228,7 @@ contendedRunCycles(unsigned depth, bool arm, RunStats &out)
     ProcId p = sys.createProcess();
     addCounterThreads(sys, p, 4, 20);
     Tick end = sys.run();
-    out = sys.stats();
+    out = sys.snapshot();
     return end;
 }
 
@@ -236,16 +236,16 @@ contendedRunCycles(unsigned depth, bool arm, RunStats &out)
  *  bit-identical with forensics armed, default, or removed. */
 TEST(FlightRecorder, SameSeedIdenticalAcrossForensicsModes)
 {
-    RunStats off, def, armed;
+    StatSnapshot off, def, armed;
     Tick c_off = contendedRunCycles(0, false, off);
     Tick c_def = contendedRunCycles(256, false, def);
     Tick c_armed = contendedRunCycles(256, true, armed);
     EXPECT_EQ(c_off, c_def);
     EXPECT_EQ(c_off, c_armed);
-    EXPECT_EQ(off.commits, armed.commits);
-    EXPECT_EQ(off.aborts, armed.aborts);
-    EXPECT_EQ(off.memOps, armed.memOps);
-    EXPECT_EQ(def.aborts, armed.aborts);
+    EXPECT_EQ(off.counter("tx.commits"), armed.counter("tx.commits"));
+    EXPECT_EQ(off.counter("tx.aborts"), armed.counter("tx.aborts"));
+    EXPECT_EQ(off.counter("sys.mem_ops"), armed.counter("sys.mem_ops"));
+    EXPECT_EQ(def.counter("tx.aborts"), armed.counter("tx.aborts"));
 }
 
 } // namespace

@@ -25,6 +25,8 @@ import copy
 import json
 import sys
 
+from ptmtools import SelfTest
+
 # metric -> allowed relative increase before it counts as a regression.
 # Cost-like metrics only: a *decrease* is never flagged.
 THRESHOLDS = {
@@ -153,139 +155,73 @@ def self_test():
             ],
         },
     }
-    failures = []
+    t = SelfTest()
 
-    # 1. Identical baselines must pass clean.
-    regs, _ = compare(base, copy.deepcopy(base), 0.10)
-    if regs:
-        failures.append(f"identical pair flagged: {regs}")
+    def edit(suite, row=0, **fields):
+        out = copy.deepcopy(suite)
+        out["benches"]["bench_table1"][row].update(fields)
+        return out
 
-    # 2. An injected 10% cycles slowdown must be detected.
-    slow = copy.deepcopy(base)
-    slow["benches"]["bench_table1"][0]["cycles"] = 1100000
-    regs, _ = compare(base, slow, 0.10)
-    if not any("cycles" in r for r in regs):
-        failures.append("10% cycles slowdown not detected")
+    def regs(old, new, report=0.50):
+        return compare(old, new, report)[0]
 
-    # 3. A change within the noise budget must NOT be flagged.
-    near = copy.deepcopy(base)
-    near["benches"]["bench_table1"][0]["cycles"] = 1005000  # +0.5%
-    regs, _ = compare(base, near, 0.10)
-    if regs:
-        failures.append(f"+0.5% cycles inside budget flagged: {regs}")
+    t.clean(regs(base, edit(base), 0.10), "identical pair")
+    t.flags(regs(base, edit(base, cycles=1100000), 0.10), "cycles",
+            "10% cycles slowdown")
+    t.clean(regs(base, edit(base, cycles=1005000), 0.10),
+            "+0.5% cycles inside budget")
+    # Thresholds gate increases only: a speedup is a note.
+    fast, notes = compare(base, edit(base, cycles=800000), 0.10)
+    t.clean(fast, "speedup as regression")
+    t.expect(notes, "-20% cycles drift not reported as a note")
+    t.flags(regs(base, edit(base, 1, verified=False), 0.10), "verifies",
+            "verified=false")
 
-    # 4. A speedup must not be flagged (thresholds gate increases only).
-    fast = copy.deepcopy(base)
-    fast["benches"]["bench_table1"][0]["cycles"] = 800000
-    regs, notes = compare(base, fast, 0.10)
-    if regs:
-        failures.append(f"speedup flagged as regression: {regs}")
-    if not notes:
-        failures.append("-20% cycles drift not reported as a note")
-
-    # 5. verified flipping false must be a regression.
-    bad = copy.deepcopy(base)
-    bad["benches"]["bench_table1"][1]["verified"] = False
-    regs, _ = compare(base, bad, 0.10)
-    if not any("verifies" in r for r in regs):
-        failures.append("verified=false not detected")
-
-    # 6. A p99 commit-latency blowup (bench_kv rows) must be detected,
+    # A p99 commit-latency blowup (bench_kv rows) must be detected,
     # but only beyond its 15% budget.
-    lat = copy.deepcopy(base)
-    lat["benches"]["bench_table1"][0]["p99_commit_latency"] = 10000.0
-    tail = copy.deepcopy(lat)
-    tail["benches"]["bench_table1"][0]["p99_commit_latency"] = 12000.0
-    regs, _ = compare(lat, tail, 0.10)
-    if not any("p99_commit_latency" in r for r in regs):
-        failures.append("+20% p99 commit latency not detected")
-    near_tail = copy.deepcopy(lat)
-    near_tail["benches"]["bench_table1"][0]["p99_commit_latency"] = \
-        11000.0
-    regs, _ = compare(lat, near_tail, 0.50)
-    if regs:
-        failures.append(f"+10% p99 inside budget flagged: {regs}")
+    lat = edit(base, p99_commit_latency=10000.0)
+    t.flags(regs(lat, edit(lat, p99_commit_latency=12000.0), 0.10),
+            "p99_commit_latency", "+20% p99 commit latency")
+    t.clean(regs(lat, edit(lat, p99_commit_latency=11000.0)),
+            "+10% p99 inside budget")
 
-    # 7. A steady-state throughput drop (bench_kv rows) must be
-    # detected beyond its 10% budget; gains must never be flagged.
-    tput = copy.deepcopy(base)
-    tput["benches"]["bench_table1"][0]["steady_tx_per_sec_1ghz"] = \
-        500000.0
-    drop = copy.deepcopy(tput)
-    drop["benches"]["bench_table1"][0]["steady_tx_per_sec_1ghz"] = \
-        400000.0
-    regs, _ = compare(tput, drop, 0.50)
-    if not any("steady_tx_per_sec_1ghz" in r for r in regs):
-        failures.append("-20% steady throughput not detected")
-    gain = copy.deepcopy(tput)
-    gain["benches"]["bench_table1"][0]["steady_tx_per_sec_1ghz"] = \
-        700000.0
-    regs, _ = compare(tput, gain, 0.50)
-    if regs:
-        failures.append(f"steady throughput gain flagged: {regs}")
-    near_drop = copy.deepcopy(tput)
-    near_drop["benches"]["bench_table1"][0]["steady_tx_per_sec_1ghz"] = \
-        475000.0
-    regs, _ = compare(tput, near_drop, 0.50)
-    if regs:
-        failures.append(f"-5% steady throughput inside budget "
-                        f"flagged: {regs}")
+    # A steady-state throughput drop (bench_kv rows) must be detected
+    # beyond its 10% budget; gains must never be flagged.
+    tput = edit(base, steady_tx_per_sec_1ghz=500000.0)
+    t.flags(regs(tput, edit(tput, steady_tx_per_sec_1ghz=400000.0)),
+            "steady_tx_per_sec_1ghz", "-20% steady throughput")
+    t.clean(regs(tput, edit(tput, steady_tx_per_sec_1ghz=700000.0)),
+            "steady throughput gain")
+    t.clean(regs(tput, edit(tput, steady_tx_per_sec_1ghz=475000.0)),
+            "-5% steady throughput inside budget")
 
-    # 8. Host-throughput regressions (sim_events_per_sec, only present
+    # Host-throughput regressions (sim_events_per_sec, only present
     # in same-machine --host-metrics pairs) must be detected beyond
     # their 10% budget; a row pair where only one side carries the
     # field must not be compared at all.
-    host = copy.deepcopy(base)
-    host["benches"]["bench_table1"][0]["sim_events_per_sec"] = 3.0e6
-    host_drop = copy.deepcopy(host)
-    host_drop["benches"]["bench_table1"][0]["sim_events_per_sec"] = 2.5e6
-    regs, _ = compare(host, host_drop, 0.50)
-    if not any("sim_events_per_sec" in r for r in regs):
-        failures.append("-17% sim_events_per_sec not detected")
-    host_gain = copy.deepcopy(host)
-    host_gain["benches"]["bench_table1"][0]["sim_events_per_sec"] = 4.0e6
-    regs, _ = compare(host, host_gain, 0.50)
-    if regs:
-        failures.append(f"sim_events_per_sec gain flagged: {regs}")
-    regs, _ = compare(host, copy.deepcopy(base), 0.50)
-    if any("sim_events_per_sec" in r for r in regs):
-        failures.append("one-sided sim_events_per_sec compared")
+    host = edit(base, sim_events_per_sec=3.0e6)
+    t.flags(regs(host, edit(host, sim_events_per_sec=2.5e6)),
+            "sim_events_per_sec", "-17% sim_events_per_sec")
+    t.clean(regs(host, edit(host, sim_events_per_sec=4.0e6)),
+            "sim_events_per_sec gain")
+    t.clean(regs(host, base), "one-sided sim_events_per_sec")
 
-    # 9. A durable-commit latency blowup (bench_kv rows produced with
+    # A durable-commit latency blowup (bench_kv rows produced with
     # --durability wal) must be detected beyond its 15% budget, and a
     # pair where only the new row carries the field (volatile old
     # baseline) must not be compared.
-    dur = copy.deepcopy(base)
-    dur["benches"]["bench_table1"][0]["p99_durable_commit_latency"] = \
-        600.0
-    dur_slow = copy.deepcopy(dur)
-    dur_slow["benches"]["bench_table1"][0][
-        "p99_durable_commit_latency"] = 750.0
-    regs, _ = compare(dur, dur_slow, 0.50)
-    if not any("p99_durable_commit_latency" in r for r in regs):
-        failures.append("+25% p99 durable commit latency not detected")
-    dur_near = copy.deepcopy(dur)
-    dur_near["benches"]["bench_table1"][0][
-        "p99_durable_commit_latency"] = 650.0
-    regs, _ = compare(dur, dur_near, 0.50)
-    if regs:
-        failures.append(f"+8% durable p99 inside budget flagged: {regs}")
-    regs, _ = compare(base, dur, 0.50)
-    if any("p99_durable_commit_latency" in r for r in regs):
-        failures.append("one-sided p99_durable_commit_latency compared")
+    dur = edit(base, p99_durable_commit_latency=600.0)
+    t.flags(regs(dur, edit(dur, p99_durable_commit_latency=750.0)),
+            "p99_durable_commit_latency",
+            "+25% p99 durable commit latency")
+    t.clean(regs(dur, edit(dur, p99_durable_commit_latency=650.0)),
+            "+8% durable p99 inside budget")
+    t.clean(regs(base, dur), "one-sided p99_durable_commit_latency")
 
-    # 10. A vanished row must be a regression.
     gone = copy.deepcopy(base)
     gone["benches"]["bench_table1"].pop(0)
-    regs, _ = compare(base, gone, 0.10)
-    if not any("row gone" in r for r in regs):
-        failures.append("missing row not detected")
-
-    for f in failures:
-        print(f"self-test FAIL: {f}", file=sys.stderr)
-    print("self-test: " + ("ok" if not failures else
-                           f"{len(failures)} failure(s)"))
-    return 1 if failures else 0
+    t.flags(regs(base, gone, 0.10), "row gone", "missing row")
+    return t.report()
 
 
 def main():

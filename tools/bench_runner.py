@@ -39,10 +39,11 @@ import concurrent.futures
 import json
 import os
 import shlex
-import subprocess
 import sys
 import tempfile
 import time
+
+from ptmtools import CheckError, load_json, run_ok
 
 BENCHES = [
     "bench_table1",
@@ -65,18 +66,12 @@ def run_bench(path, smoke, extra_args=()):
         cmd += ["--scale", "0"]
     cmd += list(extra_args)
     try:
-        proc = subprocess.run(cmd, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.PIPE, text=True)
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"{os.path.basename(path)} exited {proc.returncode}: "
-                f"{proc.stderr.strip()[-400:]}")
-        with open(tmp) as f:
-            doc = json.load(f)
+        run_ok(cmd)
+        doc = load_json(tmp, f"{os.path.basename(path)} JSON")
     finally:
         os.unlink(tmp)
     if doc.get("schema") != "ptm-bench-v1":
-        raise RuntimeError(
+        raise CheckError(
             f"{os.path.basename(path)}: bad schema tag "
             f"{doc.get('schema')!r}")
     return doc
@@ -161,7 +156,7 @@ def main():
                 futs = {name: pool.submit(one, name) for name in names}
                 for name in names:
                     results[name] = futs[name].result()
-    except RuntimeError as e:
+    except CheckError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -15,10 +15,10 @@ Arguments after `--` are passed to ptm_sim verbatim (e.g. `--
 --backoff --retry-budget 8`).
 """
 
-import argparse
-import json
 import subprocess
 import sys
+
+from ptmtools import parse_sweep, run, sweep, sweep_parser
 
 
 def run_one(args, chaos_seed, extra):
@@ -36,8 +36,7 @@ def run_one(args, chaos_seed, extra):
         cmd += ["--chaos-plan", args.plan]
     cmd += extra
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=args.timeout)
+        proc = run(cmd, timeout=args.timeout)
     except subprocess.TimeoutExpired:
         return {"chaos_seed": chaos_seed, "exit": None,
                 "verified": False, "violations": [], "repro": None,
@@ -56,7 +55,7 @@ def run_one(args, chaos_seed, extra):
         if line.startswith("verified") and line.split()[-1] != "yes":
             verified = False
 
-    run = {
+    rec = {
         "chaos_seed": chaos_seed,
         "exit": proc.returncode,
         "verified": verified,
@@ -66,73 +65,22 @@ def run_one(args, chaos_seed, extra):
     if proc.returncode != 0 or not verified or violations:
         # Keep the verifier's stderr tail on every failing record so
         # the report is diagnosable without re-running the seed.
-        run["stderr"] = proc.stderr.strip().splitlines()[-10:]
+        rec["stderr"] = proc.stderr.strip().splitlines()[-10:]
     if proc.returncode != 0 and verified and not violations:
         # Crash or internal panic: keep the tail for the report.
-        run["error"] = proc.stderr.strip().splitlines()[-5:]
-    return run
+        rec["error"] = proc.stderr.strip().splitlines()[-5:]
+    return rec
 
 
 def main():
-    ap = argparse.ArgumentParser(
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("sim", help="path to the ptm_sim binary")
-    ap.add_argument("--seeds", type=int, default=20,
-                    help="number of chaos seeds to sweep (default 20)")
-    ap.add_argument("--start", type=int, default=1,
-                    help="first chaos seed (default 1)")
-    ap.add_argument("--workload", default="fft")
-    ap.add_argument("--system", default="sel-ptm")
-    ap.add_argument("--scale", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
+    ap = sweep_parser(__doc__, workload="fft", seeds=20)
     ap.add_argument("--plan", default="",
                     help="chaos plan (fault-name list; default all)")
-    ap.add_argument("--timeout", type=int, default=120,
-                    help="per-run timeout in seconds (default 120)")
-    ap.add_argument("--out", default="",
-                    help="write the ptm-chaos-v1 JSON report to FILE")
-    args, extra = ap.parse_known_args()
-    if extra and extra[0] == "--":
-        extra = extra[1:]
-
-    runs = []
-    bad = 0
-    for k in range(args.start, args.start + args.seeds):
-        run = run_one(args, k, extra)
-        runs.append(run)
-        ok = (run["exit"] == 0 and run["verified"]
-              and not run["violations"] and "error" not in run)
-        if not ok:
-            bad += 1
-            why = ("; ".join(run["violations"])
-                   or run.get("error") or "verification failed")
-            print(f"seed {k:4d} FAIL  {why}", file=sys.stderr)
-            if run["repro"]:
-                print(f"          repro: {run['repro']}",
-                      file=sys.stderr)
-        else:
-            print(f"seed {k:4d} ok")
-
-    report = {
-        "schema": "ptm-chaos-v1",
-        "workload": args.workload,
-        "system": args.system,
-        "scale": args.scale,
-        "threads": args.threads,
-        "plan": args.plan or "all",
-        "extra_args": extra,
-        "seeds": args.seeds,
-        "first_seed": args.start,
-        "failed_runs": bad,
-        "total_violations": sum(len(r["violations"]) for r in runs),
-        "runs": runs,
-    }
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=1)
-            f.write("\n")
-
+    args, extra = parse_sweep(ap)
+    report = sweep(args, extra, args.plan or "all",
+                   lambda k: run_one(args, k, extra),
+                   why_default="verification failed")
+    bad = report["failed_runs"]
     print(f"{args.seeds} seeds, {bad} failing, "
           f"{report['total_violations']} violation(s)")
     return 1 if bad else 0

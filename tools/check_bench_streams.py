@@ -1,38 +1,33 @@
 #!/usr/bin/env python3
 """Guard the machine-readable stdout streams of the bench binaries.
 
-Checks three invocations of the first bench given, at --scale 0:
+Checks two invocations of the first bench given, at --scale 0:
 
  1. `--json - --trace FILE`  : stdout must be exactly one parseable
     ptm-bench-v1 JSON document (tables/status must go to stderr);
  2. `--trace - --json FILE`  : stdout must be machine-clean JSONL
-    (every non-empty line parses as a JSON object);
- 3. `--json - --trace -`     : both streams cannot own stdout -- the
-    binary must refuse with exit code 2 and print nothing on stdout.
+    (every non-empty line parses as a JSON object).
 
 Every bench given, the first included, must also refuse bad usage
 before running anything:
 
- 4. `--json - --trace -`     : exit code 2, stdout empty;
- 5. `--wal-file x`           : exit code 2 (a single-run option).
+ 3. `--json - --trace -`     : both streams cannot own stdout -- exit
+    code 2, nothing on stdout, a diagnostic on stderr;
+ 4. `--wal-file x`           : exit code 2 (a single-run option).
 
 Usage: check_bench_streams.py BENCH [BENCH ...]
 """
 
 import json
 import os
-import subprocess
 import sys
 import tempfile
 
-
-def run(cmd):
-    return subprocess.run(cmd, capture_output=True, text=True)
+from ptmtools import run, status
 
 
-def check(bench):
+def check(bench, tmpdir):
     errors = []
-    tmpdir = tempfile.mkdtemp(prefix="bench_streams_")
     trace_path = os.path.join(tmpdir, "t.jsonl")
     json_path = os.path.join(tmpdir, "b.json")
 
@@ -78,9 +73,13 @@ def check(bench):
                 json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             errors.append(f"--trace -: side JSON file bad: {e}")
+    return errors
 
+
+def check_refusals(bench):
+    errors = []
     # 3. Both on stdout must be refused with exit 2, stdout silent.
-    proc = run([bench, "--scale", "0", "--json", "-", "--trace", "-"])
+    proc = run([bench, "--json", "-", "--trace", "-"])
     if proc.returncode != 2:
         errors.append(f"--json - --trace -: expected exit 2, got "
                       f"{proc.returncode}")
@@ -88,18 +87,6 @@ def check(bench):
         errors.append("--json - --trace -: stdout not empty on refusal")
     if "stdout" not in proc.stderr:
         errors.append("--json - --trace -: no diagnostic on stderr")
-
-    return errors
-
-
-def check_refusals(bench):
-    errors = []
-    proc = run([bench, "--json", "-", "--trace", "-"])
-    if proc.returncode != 2:
-        errors.append(f"--json - --trace -: expected exit 2, got "
-                      f"{proc.returncode}")
-    if proc.stdout.strip():
-        errors.append("--json - --trace -: stdout not empty on refusal")
     proc = run([bench, "--wal-file", "x"])
     if proc.returncode != 2:
         errors.append(f"--wal-file x: expected exit 2, got "
@@ -112,15 +99,15 @@ def main():
         print(__doc__, file=sys.stderr)
         return 2
     failed = 0
-    for i, bench in enumerate(sys.argv[1:]):
-        errors = check(bench) if i == 0 else []
-        errors += check_refusals(bench)
-        for e in errors:
-            print(f"error: {os.path.basename(bench)}: {e}",
-                  file=sys.stderr)
-        print(f"{os.path.basename(bench)}: "
-              + ("ok" if not errors else f"{len(errors)} error(s)"))
-        failed += bool(errors)
+    with tempfile.TemporaryDirectory() as tmpdir:
+        for i, bench in enumerate(sys.argv[1:]):
+            errors = check(bench, tmpdir) if i == 0 else []
+            errors += check_refusals(bench)
+            name = os.path.basename(bench)
+            for e in errors:
+                print(f"error: {name}: {e}", file=sys.stderr)
+            print(f"{name}: {status(errors)}")
+            failed += bool(errors)
     return 1 if failed else 0
 
 

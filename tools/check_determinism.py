@@ -23,10 +23,11 @@ traces to be identical too.
 """
 
 import json
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+from ptmtools import CheckError, run_ok
 
 # Host-dependent manifest fields; everything else must match.
 IGNORED_MANIFEST_FIELDS = ("wall_seconds", "git", "events_per_sec",
@@ -54,12 +55,10 @@ def run_once(sim, args, out, trace=None):
     cmd = [sim, *args, "--stats-json", str(out)]
     if trace:
         cmd += ["--trace", str(trace)]
-    res = subprocess.run(cmd, stdout=subprocess.PIPE,
-                         stderr=subprocess.STDOUT, text=True)
-    if res.returncode != 0:
-        print(res.stdout)
-        raise SystemExit(f"FAIL: {' '.join(cmd)} exited "
-                         f"{res.returncode}")
+    try:
+        run_ok(cmd)
+    except CheckError as e:
+        raise SystemExit(f"FAIL: {' '.join(map(str, cmd))} {e}")
     return json.loads(Path(out).read_text())
 
 

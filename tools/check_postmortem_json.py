@@ -32,11 +32,12 @@ Usage:
     check_postmortem_json.py --self-test
 """
 
-import json
 import os
-import subprocess
 import sys
 import tempfile
+
+from ptmtools import (CheckError, SelfTest, checker_main, field_errors,
+                      has_type, load_json, run, run_ok, stat, verdict)
 
 TRIGGER_KINDS = {
     "watchdog", "starvation-grant", "audit-violation", "chaos-inject",
@@ -45,6 +46,10 @@ TRIGGER_KINDS = {
 
 NODE_CAUSES = {"conflict", "nontx", "multiwriter", "explicit",
                "terminal"}
+
+DOC_FIELDS = {"repro": str, "generations": int, "chain_depth": int}
+
+TRIGGER_FIELDS = {"tick": int, "tx": int, "detail": str}
 
 NODE_FIELDS = {
     "id": int,
@@ -77,21 +82,19 @@ RECORD_FIELDS = {
     "recent_aborts": list,
 }
 
+FLIGHTREC_FIELDS = dict.fromkeys(
+    ("depth", "live", "retired", "dropped_records",
+     "dropped_wasted_ticks"), int)
 
-def parse_docs(text):
-    """Split a dump file of concatenated JSON documents."""
-    docs = []
-    dec = json.JSONDecoder()
-    i, n = 0, len(text)
-    while i < n:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        doc, end = dec.raw_decode(text, i)
-        docs.append(doc)
-        i = end
-    return docs
+FORENSICS_FIELDS = {
+    **dict.fromkeys(
+        ("depth", "generations", "live_records", "retired_records",
+         "dropped_records", "wasted_ticks_total",
+         "dropped_wasted_ticks", "max_wasted_ticks", "deepest_chain",
+         "postmortems", "dropped_reports"), int),
+    "armed": bool,
+    "top_killers": list,
+}
 
 
 def validate_doc(doc, label="doc"):
@@ -109,25 +112,16 @@ def validate_doc(doc, label="doc"):
         trig = {}
     if trig.get("kind") not in TRIGGER_KINDS:
         err(f"unknown trigger kind {trig.get('kind')!r}")
-    for f, ty in (("tick", int), ("tx", int), ("detail", str)):
-        if not isinstance(trig.get(f), ty):
-            err(f"trigger.{f} missing or mistyped")
-    if not isinstance(doc.get("repro"), str):
-        err("repro line missing")
-    if not isinstance(doc.get("generations"), int):
-        err("generations missing")
+    errors += field_errors(trig, TRIGGER_FIELDS, f"{label}: trigger")
+    errors += field_errors(doc, DOC_FIELDS, label)
     chain = doc.get("chain_depth")
-    if not isinstance(chain, int):
-        err("chain_depth missing")
 
     nodes = doc.get("nodes")
     if not isinstance(nodes, list) or not nodes:
         err("nodes missing or empty")
         return errors
     for k, node in enumerate(nodes):
-        for f, ty in NODE_FIELDS.items():
-            if not isinstance(node.get(f), ty):
-                err(f"node {k}: {f} missing or mistyped")
+        errors += field_errors(node, NODE_FIELDS, f"{label}: node {k}")
         if node.get("id") != k:
             err(f"node {k}: id {node.get('id')} not dense")
         if isinstance(node.get("cause"), str) and \
@@ -141,7 +135,7 @@ def validate_doc(doc, label="doc"):
     adj = {k: [] for k in range(len(nodes))}
     for k, edge in enumerate(edges):
         fr, to = edge.get("from"), edge.get("to")
-        if not isinstance(fr, int) or not isinstance(to, int) or \
+        if not has_type(fr, int) or not has_type(to, int) or \
                 not (0 <= fr < len(nodes)) or not (0 <= to < len(nodes)):
             err(f"edge {k}: dangling endpoint {fr!r} -> {to!r}")
             continue
@@ -192,9 +186,7 @@ def validate_doc(doc, label="doc"):
     node_txs = {n.get("tx") for n in nodes}
     prev = None
     for k, rec in enumerate(records):
-        for f, ty in RECORD_FIELDS.items():
-            if not isinstance(rec.get(f), ty):
-                err(f"record {k}: {f} missing or mistyped")
+        errors += field_errors(rec, RECORD_FIELDS, f"{label}: record {k}")
         tx = rec.get("tx")
         if prev is not None and isinstance(tx, int) and tx <= prev:
             err(f"record {k}: tx {tx} not sorted ascending")
@@ -206,45 +198,30 @@ def validate_doc(doc, label="doc"):
     if not isinstance(fl, dict):
         err("flightrec section missing")
     else:
-        for f in ("depth", "live", "retired", "dropped_records",
-                  "dropped_wasted_ticks"):
-            if not isinstance(fl.get(f), int):
-                err(f"flightrec.{f} missing or mistyped")
+        errors += field_errors(fl, FLIGHTREC_FIELDS, f"{label}: flightrec")
     return errors
 
 
 def reconcile_forensics(stats_doc):
     """Forensics totals vs. the profiler's tx_wasted bucket."""
-    errors = []
     forensics = stats_doc.get("forensics")
     if not isinstance(forensics, dict):
         return ["stats json has no forensics section"]
-    for f in ("depth", "generations", "live_records", "retired_records",
-              "dropped_records", "wasted_ticks_total",
-              "dropped_wasted_ticks", "max_wasted_ticks",
-              "deepest_chain", "postmortems", "dropped_reports"):
-        if not isinstance(forensics.get(f), int):
-            errors.append(f"forensics.{f} missing or mistyped")
-    if not isinstance(forensics.get("armed"), bool):
-        errors.append("forensics.armed missing")
-    if not isinstance(forensics.get("top_killers"), list):
-        errors.append("forensics.top_killers missing")
+    errors = field_errors(forensics, FORENSICS_FIELDS, "forensics")
     if errors:
         return errors
 
-    group = stats_doc.get("groups", {}).get("flightrec")
-    if not isinstance(group, dict):
+    if not isinstance(stats_doc.get("groups", {}).get("flightrec"), dict):
         errors.append("stats json has no flightrec group")
     else:
-        dropped = group.get("dropped_records", {}).get("value")
+        dropped = stat(stats_doc, "flightrec.dropped_records")
         if dropped != forensics["dropped_records"]:
             errors.append(
                 f"flightrec.dropped_records {dropped} != forensics "
                 f"section {forensics['dropped_records']}")
 
     profile = stats_doc.get("profile")
-    hit_limit = stats_doc.get("groups", {}).get("sys", {}) \
-        .get("hit_tick_limit", {}).get("value", 0)
+    hit_limit = stat(stats_doc, "sys.hit_tick_limit", default=0)
     if isinstance(profile, dict) and not hit_limit:
         tx_wasted = sum(c.get("ticks", {}).get("tx_wasted", 0)
                         for c in profile.get("cores", []))
@@ -257,32 +234,19 @@ def reconcile_forensics(stats_doc):
 
 
 def check_run(ptm_sim):
-    ptm_sim = os.path.abspath(ptm_sim)
+    run_args = [
+        os.path.abspath(ptm_sim), "--workload", "kv", "--system",
+        "sel-ptm", "--scale", "0", "--threads", "4", "--seed", "7",
+        "--wl-opt", "zipf=0.99", "--retry-budget", "3",
+    ]
     errors = []
     with tempfile.TemporaryDirectory() as tmp:
         pm_path = os.path.join(tmp, "pm.json")
         stats_path = os.path.join(tmp, "stats.json")
-        cmd = [
-            ptm_sim, "--workload", "kv", "--system", "sel-ptm",
-            "--scale", "0", "--threads", "4", "--seed", "7",
-            "--wl-opt", "zipf=0.99", "--retry-budget", "3",
-            "--profile", "--postmortem", pm_path,
-            "--stats-json", stats_path,
-        ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            return [f"ptm_sim exited {proc.returncode}: "
-                    f"{proc.stderr.strip()[:500]}"]
-        try:
-            with open(pm_path) as f:
-                docs = parse_docs(f.read())
-        except (OSError, json.JSONDecodeError) as e:
-            return [f"postmortem dump not readable: {e}"]
-        try:
-            with open(stats_path) as f:
-                stats_doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            return [f"stats json not readable: {e}"]
+        proc = run_ok(run_args + ["--profile", "--postmortem", pm_path,
+                                  "--stats-json", stats_path])
+        docs = load_json(pm_path, "postmortem dump", docs=True)
+        stats_doc = load_json(stats_path, "stats json")
 
         if not docs:
             errors.append("armed contended run captured no post-mortem")
@@ -316,32 +280,26 @@ def check_run(ptm_sim):
 
         # Off by default: the same run without forensics flags.
         off_stats = os.path.join(tmp, "off.json")
-        proc = subprocess.run(
-            [ptm_sim, "--workload", "kv", "--system", "sel-ptm",
-             "--scale", "0", "--threads", "4", "--seed", "7",
-             "--wl-opt", "zipf=0.99", "--retry-budget", "3",
-             "--stats-json", off_stats],
-            capture_output=True, text=True, cwd=tmp)
+        proc = run(run_args + ["--stats-json", off_stats], cwd=tmp)
         if proc.returncode != 0:
             errors.append(f"control run exited {proc.returncode}")
         if "post-mortem" in proc.stderr or "post-mortem" in proc.stdout:
             errors.append("control run printed a post-mortem block")
         try:
-            with open(off_stats) as f:
-                off_doc = json.load(f)
-            off = off_doc.get("forensics", {})
+            off = load_json(off_stats, "control stats").get(
+                "forensics", {})
             if off.get("armed") is not False:
                 errors.append("control run reports armed != false")
             if off.get("postmortems") != 0:
                 errors.append("control run captured post-mortems")
-        except (OSError, json.JSONDecodeError) as e:
-            errors.append(f"control stats not readable: {e}")
+        except CheckError as e:
+            errors.append(str(e))
     return errors
 
 
 def self_test():
     """Exercise the validator on crafted documents."""
-    failures = []
+    t = SelfTest()
 
     def node(i, tx, tick, gen, winner=-1):
         return {"id": i, "tx": tx, "tick": tick, "attempt": 1,
@@ -371,44 +329,27 @@ def self_test():
         d.update(kw)
         return d
 
-    # 1. A well-formed document must pass clean.
-    errs = validate_doc(doc())
-    if errs:
-        failures.append(f"clean document flagged: {errs}")
-
-    # 2. A bad schema tag must be detected.
-    errs = validate_doc(doc(schema="nope"))
-    if not any("schema" in e for e in errs):
-        failures.append("bad schema tag not detected")
-
-    # 3. A cycle must be detected even when ticks are forged to pass
-    # the ordering check.
+    t.clean(validate_doc(doc()), "clean document")
+    t.flags(validate_doc(doc(schema="nope")), "schema", "bad schema tag")
+    # A cycle must be detected even when ticks are forged to pass the
+    # ordering check.
     d = doc(edges=[{"from": 0, "to": 1}, {"from": 1, "to": 0}])
     d["nodes"][1]["tick"] = 0  # terminal: exempt from tick ordering
-    errs = validate_doc(d)
-    if not any("cycle" in e for e in errs):
-        failures.append("cyclic edges not detected")
-
-    # 4. A dangling edge index must be detected.
-    errs = validate_doc(doc(edges=[{"from": 0, "to": 7}]))
-    if not any("dangling" in e for e in errs):
-        failures.append("dangling edge not detected")
-
-    # 5. An edge forward in time must be detected.
+    t.flags(validate_doc(d), "cycle", "cyclic edges")
+    t.flags(validate_doc(doc(edges=[{"from": 0, "to": 7}])), "dangling",
+            "dangling edge")
     d = doc()
     d["nodes"][1]["tick"] = 95  # later than source's 90
-    errs = validate_doc(d)
-    if not any("strictly before" in e for e in errs):
-        failures.append("tick ordering violation not detected")
+    t.flags(validate_doc(d), "strictly before", "tick ordering violation")
+    t.flags(validate_doc(doc(records=[record(2), record(1)])), "sorted",
+            "unsorted records")
+    # A JSON true is not a number, though Python's bool is an int.
+    d = doc()
+    d["records"][0]["aborts"] = True
+    t.flags(validate_doc(d), "aborts has type bool", "bool as a count")
 
-    # 6. Unsorted records must be detected.
-    d = doc(records=[record(2), record(1)])
-    errs = validate_doc(d)
-    if not any("sorted" in e for e in errs):
-        failures.append("unsorted records not detected")
-
-    # 7. Reconciliation must catch a wasted-tick mismatch and pass
-    # the exact case.
+    # Reconciliation must catch a wasted-tick mismatch and pass the
+    # exact case.
     def stats(wasted_total, bucket):
         return {
             "forensics": {
@@ -427,33 +368,13 @@ def self_test():
             "profile": {"cores": [{"ticks": {"tx_wasted": bucket}}]},
         }
 
-    errs = reconcile_forensics(stats(10, 12))
-    if not any("tx_wasted" in e for e in errs):
-        failures.append("wasted-tick mismatch not detected")
-    errs = reconcile_forensics(stats(12, 12))
-    if errs:
-        failures.append(f"exact reconciliation flagged: {errs}")
-
-    for f in failures:
-        print(f"self-test FAIL: {f}", file=sys.stderr)
-    print("self-test: " + ("ok" if not failures else
-                           f"{len(failures)} failure(s)"))
-    return 1 if failures else 0
-
-
-def main():
-    if len(sys.argv) == 2 and sys.argv[1] == "--self-test":
-        return self_test()
-    if len(sys.argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    errors = check_run(sys.argv[1])
-    for e in errors:
-        print(f"error: {e}", file=sys.stderr)
-    print("postmortem: " + ("ok" if not errors else
-                            f"{len(errors)} error(s)"))
-    return 1 if errors else 0
+    t.flags(reconcile_forensics(stats(10, 12)), "tx_wasted",
+            "wasted-tick mismatch")
+    t.clean(reconcile_forensics(stats(12, 12)), "exact reconciliation")
+    return t.report()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(checker_main(
+        lambda sim: verdict("postmortem", check_run, sim), self_test,
+        __doc__))

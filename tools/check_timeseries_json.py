@@ -28,9 +28,11 @@ Usage:
 
 import json
 import os
-import subprocess
 import sys
 import tempfile
+
+from ptmtools import (CheckError, SelfTest, checker_main, field_errors,
+                      has_type, jsonl, load_json, run, run_ok, verdict)
 
 HEADER_FIELDS = {
     "schema": str,
@@ -66,14 +68,9 @@ def parse_stream(lines):
     errors = []
     header = None
     intervals = []
-    for i, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            errors.append(f"line {i}: invalid JSON: {e}")
+    for i, rec, bad in jsonl(lines):
+        if bad:
+            errors.append(f"line {i}: invalid JSON: {bad}")
             continue
         kind = rec.get("type")
         if kind == "header":
@@ -81,13 +78,7 @@ def parse_stream(lines):
                 errors.append(f"line {i}: duplicate header")
             if intervals:
                 errors.append(f"line {i}: header after intervals")
-            for field, ty in HEADER_FIELDS.items():
-                if field not in rec:
-                    errors.append(f"line {i}: header missing {field!r}")
-                elif not isinstance(rec[field], ty):
-                    errors.append(
-                        f"line {i}: header.{field} has type "
-                        f"{type(rec[field]).__name__}")
+            errors += field_errors(rec, HEADER_FIELDS, f"line {i}: header")
             if rec.get("schema") != "ptm-timeseries-v1":
                 errors.append(
                     f"line {i}: bad schema tag {rec.get('schema')!r}")
@@ -95,14 +86,8 @@ def parse_stream(lines):
         elif kind == "interval":
             if header is None:
                 errors.append(f"line {i}: interval before header")
-            for field, ty in INTERVAL_FIELDS.items():
-                if field not in rec:
-                    errors.append(
-                        f"line {i}: interval missing {field!r}")
-                elif not isinstance(rec[field], ty):
-                    errors.append(
-                        f"line {i}: interval.{field} has type "
-                        f"{type(rec[field]).__name__}")
+            errors += field_errors(rec, INTERVAL_FIELDS,
+                                   f"line {i}: interval")
             intervals.append(rec)
         else:
             errors.append(f"line {i}: unknown record type {kind!r}")
@@ -135,7 +120,7 @@ def parse_stream(lines):
         d = iv.get("d")
         if isinstance(d, dict):
             for path, delta in d.items():
-                if not isinstance(delta, int) or delta <= 0:
+                if not has_type(delta, int) or delta <= 0:
                     errors.append(
                         f"interval {k}: d[{path!r}]={delta!r} "
                         "(deltas are positive integers; zero deltas "
@@ -200,27 +185,16 @@ def check_run(ptm_sim):
     with tempfile.TemporaryDirectory() as tmp:
         ts_path = os.path.join(tmp, "ts.jsonl")
         stats_path = os.path.join(tmp, "stats.json")
-        cmd = [
-            ptm_sim, "--workload", "kv", "--system", "sel-ptm",
-            "--scale", "0", "--threads", "4",
-            "--wl-opt", "zipf=0.99",
-            "--timeseries", ts_path, "--timeseries-interval", "20000",
-            "--stats-json", stats_path,
-        ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            return [f"ptm_sim exited {proc.returncode}: "
-                    f"{proc.stderr.strip()}"]
+        run_ok([ptm_sim, "--workload", "kv", "--system", "sel-ptm",
+                "--scale", "0", "--threads", "4", "--wl-opt", "zipf=0.99",
+                "--timeseries", ts_path, "--timeseries-interval", "20000",
+                "--stats-json", stats_path])
         try:
             with open(ts_path) as f:
                 lines = f.readlines()
         except OSError as e:
-            return [f"timeseries file not written: {e}"]
-        try:
-            with open(stats_path) as f:
-                stats_doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            return [f"stats json not readable: {e}"]
+            raise CheckError(f"timeseries file not written: {e}")
+        stats_doc = load_json(stats_path, "stats json")
 
         header, intervals, errs = parse_stream(lines)
         errors.extend(errs)
@@ -259,7 +233,7 @@ def check_run(ptm_sim):
                 errors.append(f"interval {k}: hot_pages missing")
                 break
             for e in hp:
-                if not all(isinstance(e.get(f), int)
+                if not all(has_type(e.get(f), int)
                            for f in ("page", "count", "err")):
                     errors.append(
                         f"interval {k}: malformed hot_pages entry {e}")
@@ -271,10 +245,8 @@ def check_run(ptm_sim):
 
         # Off by default: without --timeseries no file appears.
         off_path = os.path.join(tmp, "off.jsonl")
-        proc = subprocess.run(
-            [ptm_sim, "--workload", "kv", "--system", "sel-ptm",
-             "--scale", "0", "--threads", "4"],
-            capture_output=True, text=True, cwd=tmp)
+        proc = run([ptm_sim, "--workload", "kv", "--system", "sel-ptm",
+                    "--scale", "0", "--threads", "4"], cwd=tmp)
         if proc.returncode != 0:
             errors.append(
                 f"control run exited {proc.returncode}")
@@ -288,7 +260,7 @@ def check_run(ptm_sim):
 
 def self_test():
     """Exercise the stream validator on crafted inputs."""
-    failures = []
+    t = SelfTest()
 
     def hdr(**kw):
         rec = {"schema": "ptm-timeseries-v1", "type": "header",
@@ -306,81 +278,42 @@ def self_test():
         rec.update(kw)
         return rec
 
-    def run(records):
-        lines = [json.dumps(r) for r in records]
-        _, _, errs = parse_stream(lines)
-        return errs
+    def stream(records):
+        return parse_stream([json.dumps(r) for r in records])[2]
 
-    # 1. A well-formed stream must pass clean.
-    errs = run([hdr(), iv(0, 0, 100), iv(1, 100, 200, final=True)])
-    if errs:
-        failures.append(f"clean stream flagged: {errs}")
-
-    # 2. A bad schema tag must be detected.
-    errs = run([hdr(schema="nope"), iv(0, 0, 100, final=True)])
-    if not any("schema" in e for e in errs):
-        failures.append("bad schema tag not detected")
-
-    # 3. A gap in tick coverage must be detected.
-    errs = run([hdr(), iv(0, 0, 100), iv(1, 150, 200, final=True)])
-    if not any("gap" in e for e in errs):
-        failures.append("tick coverage gap not detected")
-
-    # 4. final=true anywhere but last (or a missing final) must fail.
-    errs = run([hdr(), iv(0, 0, 100, final=True),
-                iv(1, 100, 200, final=True)])
-    if not any("final" in e for e in errs):
-        failures.append("duplicate final not detected")
-    errs = run([hdr(), iv(0, 0, 100), iv(1, 100, 200)])
-    if not any("final" in e for e in errs):
-        failures.append("missing final flush not detected")
-
-    # 5. A missing gauge must be detected.
+    t.clean(stream([hdr(), iv(0, 0, 100), iv(1, 100, 200, final=True)]),
+            "clean stream")
+    t.flags(stream([hdr(schema="nope"), iv(0, 0, 100, final=True)]),
+            "schema", "bad schema tag")
+    t.flags(stream([hdr(), iv(0, 0, 100), iv(1, 150, 200, final=True)]),
+            "gap", "tick coverage gap")
+    # final=true anywhere but last (or a missing final) must fail.
+    t.flags(stream([hdr(), iv(0, 0, 100, final=True),
+                    iv(1, 100, 200, final=True)]),
+            "final", "duplicate final")
+    t.flags(stream([hdr(), iv(0, 0, 100), iv(1, 100, 200)]),
+            "final", "missing final flush")
     bad = iv(0, 0, 100, final=True)
     del bad["events_per_sec"]
-    errs = run([hdr(), bad])
-    if not any("events_per_sec" in e for e in errs):
-        failures.append("missing gauge not detected")
+    t.flags(stream([hdr(), bad]), "events_per_sec", "missing gauge")
+    # A zero delta must be rejected (the emitter omits them).
+    t.flags(stream([hdr(), iv(0, 0, 100, final=True,
+                              d={"tx.commits": 0})]),
+            "delta", "zero delta")
+    t.flags(stream([hdr(), iv(0, 0, 100, final=True, events=True)]),
+            "events has type bool", "bool as a count")
 
-    # 6. A zero delta must be rejected (the emitter omits them).
-    errs = run([hdr(), iv(0, 0, 100, final=True,
-                          d={"tx.commits": 0})])
-    if not any("delta" in e for e in errs):
-        failures.append("zero delta not detected")
-
-    # 7. Reconciliation must catch a short delta sum.
+    # Reconciliation must catch a short delta sum.
     stats = {"groups": {"tx": {"commits":
                                {"kind": "counter", "value": 12}}}}
-    errs = reconcile([iv(0, 0, 100), iv(1, 100, 200, final=True)],
-                     stats)
-    if not any("delta sum" in e for e in errs):
-        failures.append("counter under-count not detected")
+    two = [iv(0, 0, 100), iv(1, 100, 200, final=True)]
+    t.flags(reconcile(two, stats), "delta sum", "counter under-count")
     stats["groups"]["tx"]["commits"]["value"] = 10
-    errs = reconcile([iv(0, 0, 100), iv(1, 100, 200, final=True)],
-                     stats)
-    if errs:
-        failures.append(f"exact reconciliation flagged: {errs}")
-
-    for f in failures:
-        print(f"self-test FAIL: {f}", file=sys.stderr)
-    print("self-test: " + ("ok" if not failures else
-                           f"{len(failures)} failure(s)"))
-    return 1 if failures else 0
-
-
-def main():
-    if len(sys.argv) == 2 and sys.argv[1] == "--self-test":
-        return self_test()
-    if len(sys.argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    errors = check_run(sys.argv[1])
-    for e in errors:
-        print(f"error: {e}", file=sys.stderr)
-    print("timeseries: " + ("ok" if not errors else
-                            f"{len(errors)} error(s)"))
-    return 1 if errors else 0
+    t.clean(reconcile(two, stats), "exact reconciliation")
+    return t.report()
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(checker_main(
+        lambda sim: verdict("timeseries", check_run, sim), self_test,
+        __doc__))

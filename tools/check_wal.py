@@ -31,6 +31,8 @@ import sys
 import tempfile
 import zlib
 
+from ptmtools import SelfTest
+
 DUMP_MAGIC = b"PTMWAL1\n"
 DUMP_VERSION = 1
 REC_MAGIC = 0x43455243  # "CREC" little-endian
@@ -268,7 +270,8 @@ def _mk_dump(log, crash_tick=100, regions=None):
 
 
 def self_test():
-    fails = []
+    t = SelfTest()
+    fails = t.failures
 
     rec1 = _mk_record(1, 11, 0, 1, 3, [(0x1000, 5), (0x1008, 6)])
     rec2 = _mk_record(2, 12, 1, 1, 3, [(0x1000, 9)])
@@ -330,8 +333,6 @@ def self_test():
         if rt["error"] or rt["torn_bytes"] != len(rec3) - 3:
             fails.append(f"forged torn tail wrong: {rt}")
         # Completed-run dumps must not tolerate torn tails.
-        with open(p, "rb") as f:
-            buf = bytearray(f.read())
         with open(p, "wb") as f:
             f.write(_mk_dump(d["log"], crash_tick=0))
         if not any("torn" in x for x in check_dump(p)):
@@ -346,13 +347,8 @@ def self_test():
             f.write(bytes([b[0] ^ 0xFF]))
         if not any("crc" in x for x in check_dump(p)):
             fails.append("region corruption not detected")
-        del buf
 
-    for f in fails:
-        print(f"self-test FAIL: {f}", file=sys.stderr)
-    print("self-test: " + ("ok" if not fails
-                           else f"{len(fails)} failure(s)"))
-    return 1 if fails else 0
+    return t.report()
 
 
 def main():

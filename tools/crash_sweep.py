@@ -30,16 +30,14 @@ non-zero if any seed fails any phase.
 Arguments after `--` are passed to every ptm_sim run verbatim.
 """
 
-import argparse
-import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-import check_wal  # noqa: E402
+import check_wal
+from ptmtools import parse_sweep, run, sweep, sweep_parser
 
 
 def lcg_below(seed, span):
@@ -59,11 +57,6 @@ def sim_cmd(args, seed, extra):
             "--seed", str(seed)] + extra
 
 
-def run(cmd, timeout):
-    return subprocess.run(cmd, capture_output=True, text=True,
-                          timeout=timeout)
-
-
 def fail(rec, phase, why, proc=None):
     rec["error"] = f"{phase}: {why}"
     tail = (proc.stderr.strip().splitlines()[-10:]) if proc else []
@@ -79,7 +72,7 @@ def run_one(args, seed, extra, wal_path):
     # Phase 1: learn the run length so the crash tick always lands
     # inside the run.
     try:
-        ref = run(sim_cmd(args, seed, extra), args.timeout)
+        ref = run(sim_cmd(args, seed, extra), timeout=args.timeout)
     except subprocess.TimeoutExpired:
         return fail(rec, "reference", f"timeout after {args.timeout}s")
     m = re.search(r"^cycles\s+(\d+)", ref.stdout, re.M)
@@ -96,7 +89,7 @@ def run_one(args, seed, extra, wal_path):
         "--crash-at-tick", str(crash_tick), "--audit"]
     rec["repro"] = " ".join(cmd[1:])
     try:
-        prod = run(cmd, args.timeout)
+        prod = run(cmd, timeout=args.timeout)
     except subprocess.TimeoutExpired:
         return fail(rec, "producer", f"timeout after {args.timeout}s")
     for line in prod.stderr.splitlines():
@@ -129,7 +122,8 @@ def run_one(args, seed, extra, wal_path):
     # Phase 5: recovery must replay the durable prefix into an
     # auditor-clean, oracle-bit-exact image.
     try:
-        rcv = run([args.sim, "--recover", wal_path], args.timeout)
+        rcv = run([args.sim, "--recover", wal_path],
+                  timeout=args.timeout)
     except subprocess.TimeoutExpired:
         return fail(rec, "recover", f"timeout after {args.timeout}s")
     rec["exit"] = rcv.returncode
@@ -152,77 +146,29 @@ def run_one(args, seed, extra, wal_path):
 
 
 def main():
-    ap = argparse.ArgumentParser(
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("sim", help="path to the ptm_sim binary")
-    ap.add_argument("--seeds", type=int, default=30,
-                    help="number of seeds to sweep (default 30)")
-    ap.add_argument("--start", type=int, default=1,
-                    help="first seed (default 1)")
-    ap.add_argument("--workload", default="kv")
-    ap.add_argument("--system", default="sel-ptm")
-    ap.add_argument("--scale", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
+    ap = sweep_parser(__doc__, workload="kv", seeds=30)
     ap.add_argument("--torn-every", type=int, default=3,
                     help="forge a torn log tail on every Nth seed "
                          "(0 = never; default 3)")
-    ap.add_argument("--timeout", type=int, default=120,
-                    help="per-run timeout in seconds (default 120)")
-    ap.add_argument("--out", default="",
-                    help="write the ptm-chaos-v1 JSON report to FILE")
-    args, extra = ap.parse_known_args()
-    if extra and extra[0] == "--":
-        extra = extra[1:]
+    args, extra = parse_sweep(ap)
 
-    runs = []
-    bad = 0
-    torn = 0
+    def ok_note(rec):
+        note = (f"  torn {rec['torn_bytes_discarded']}B"
+                if "torn_bytes_discarded" in rec else "")
+        return (f"  crash@{rec['crash_tick']} "
+                f"replayed {rec.get('replayed_commits', 0)}{note}")
+
     with tempfile.TemporaryDirectory() as td:
-        for k in range(args.start, args.start + args.seeds):
-            wal = os.path.join(td, f"crash-{k}.wal")
-            rec = run_one(args, k, extra, wal)
-            runs.append(rec)
-            torn += "torn_bytes_discarded" in rec
-            ok = (rec["exit"] == 0 and rec["verified"]
-                  and not rec["violations"] and "error" not in rec)
-            if not ok:
-                bad += 1
-                why = ("; ".join(rec["violations"])
-                       or rec.get("error") or "recovery not verified")
-                print(f"seed {k:4d} FAIL  {why}", file=sys.stderr)
-                if rec["repro"]:
-                    print(f"          repro: {rec['repro']}",
-                          file=sys.stderr)
-            else:
-                note = (f"  torn {rec['torn_bytes_discarded']}B"
-                        if "torn_bytes_discarded" in rec else "")
-                print(f"seed {k:4d} ok  crash@{rec['crash_tick']} "
-                      f"replayed {rec.get('replayed_commits', 0)}"
-                      f"{note}")
-
-    report = {
-        "schema": "ptm-chaos-v1",
-        "workload": args.workload,
-        "system": args.system,
-        "scale": args.scale,
-        "threads": args.threads,
-        "plan": "crash",
-        "extra_args": extra,
-        "seeds": args.seeds,
-        "first_seed": args.start,
-        "failed_runs": bad,
-        "torn_tail_runs": torn,
-        "total_violations": sum(len(r["violations"]) for r in runs),
-        "runs": runs,
-    }
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(report, f, indent=1)
-            f.write("\n")
-
-    print(f"{args.seeds} seeds, {bad} failing, {torn} torn-tail "
-          f"case(s), "
+        report = sweep(
+            args, extra, "crash",
+            lambda k: run_one(args, k, extra,
+                              os.path.join(td, f"crash-{k}.wal")),
+            why_default="recovery not verified", ok_note=ok_note,
+            summary=lambda runs: {"torn_tail_runs": sum(
+                "torn_bytes_discarded" in r for r in runs)})
+    bad = report["failed_runs"]
+    print(f"{args.seeds} seeds, {bad} failing, "
+          f"{report['torn_tail_runs']} torn-tail case(s), "
           f"{report['total_violations']} violation(s)")
     return 1 if bad else 0
 

@@ -28,21 +28,7 @@ import argparse
 import json
 import sys
 
-
-def parse_docs(text):
-    """Split a dump file of concatenated JSON documents."""
-    docs = []
-    dec = json.JSONDecoder()
-    i, n = 0, len(text)
-    while i < n:
-        while i < n and text[i].isspace():
-            i += 1
-        if i >= n:
-            break
-        doc, end = dec.raw_decode(text, i)
-        docs.append(doc)
-        i = end
-    return docs
+from ptmtools import CheckError, load_json
 
 
 def analyze(docs, stats_doc=None, top=10):
@@ -158,25 +144,16 @@ def main():
     args = ap.parse_args()
 
     try:
-        with open(args.dump) as f:
-            docs = parse_docs(f.read())
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: cannot read dump: {e}", file=sys.stderr)
+        docs = load_json(args.dump, "dump", docs=True)
+        stats_doc = load_json(args.stats, "stats json") \
+            if args.stats else None
+    except CheckError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 1
     if not docs:
         print("error: dump holds no post-mortem documents",
               file=sys.stderr)
         return 1
-
-    stats_doc = None
-    if args.stats:
-        try:
-            with open(args.stats) as f:
-                stats_doc = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"error: cannot read stats json: {e}",
-                  file=sys.stderr)
-            return 1
 
     a = analyze(docs, stats_doc, top=args.top)
     if args.json:

@@ -26,6 +26,8 @@ import argparse
 import json
 import sys
 
+from ptmtools import jsonl
+
 
 def load_runs(path):
     """Split a JSONL file into runs: (header, [intervals]) pairs."""
@@ -35,14 +37,9 @@ def load_runs(path):
             lines = f.readlines()
     except OSError as e:
         raise SystemExit(f"error: {path}: {e}")
-    for i, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SystemExit(f"error: {path}:{i}: invalid JSON: {e}")
+    for i, rec, bad in jsonl(lines):
+        if bad:
+            raise SystemExit(f"error: {path}:{i}: invalid JSON: {bad}")
         if rec.get("type") == "header":
             runs.append((rec, []))
         elif rec.get("type") == "interval":

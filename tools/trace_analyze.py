@@ -26,7 +26,9 @@ reported and make the exit status non-zero.
 import argparse
 import json
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
+
+from ptmtools import read_trace
 
 PAGE_SHIFT = 12
 BLOCK_SHIFT = 6
@@ -41,53 +43,34 @@ ABORT_REASONS = {
 
 def parse(path):
     """Parse a ptm-trace-v1 file into (captures, errors)."""
-    errors = []
-    captures = []
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
         return [], [f"{path}: empty file"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        return [], [f"{path}:1: {e}"]
+    header, caps, errors = read_trace(lines)
+    errors = [f"{path}: {e}" for e in errors]
+    if header is None:
+        return [], errors
     if header.get("schema") != "ptm-trace-v1":
         if "traceEvents" in lines[0]:
             return [], [f"{path}: chrome-format trace; this tool "
                         "reads --trace-format jsonl output"]
         return [], [f"{path}: bad schema {header.get('schema')!r}"]
 
-    cur = None
-    for n, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            errors.append(f"{path}:{n}: {e}")
-            continue
-        ty = obj.get("type")
-        if ty == "capture":
-            cur = {"label": obj.get("label", f"capture {n}"),
-                   "recorded": obj.get("recorded", 0),
-                   "dropped": obj.get("dropped", 0),
-                   "series": obj.get("series", []),
-                   "events": []}
-            captures.append(cur)
-        elif ty == "ev":
-            if cur is None:
-                errors.append(f"{path}:{n}: event before capture")
-                continue
-            if not isinstance(obj.get("t"), int) or "ev" not in obj:
-                errors.append(f"{path}:{n}: malformed event")
-                continue
-            cur["events"].append(obj)
-        else:
-            errors.append(f"{path}:{n}: unknown line type {ty!r}")
-    if len(captures) != header.get("captures"):
-        errors.append(
-            f"{path}: header says {header.get('captures')} captures, "
-            f"found {len(captures)}")
+    captures = []
+    for cap in caps:
+        rec = cap["capture"]
+        events = []
+        for n, e in cap["events"]:
+            if not isinstance(e.get("t"), int) or "ev" not in e:
+                errors.append(f"{path}: line {n}: malformed event")
+            else:
+                events.append(e)
+        captures.append({"label": rec.get("label",
+                                          f"capture {cap['line']}"),
+                         "recorded": rec.get("recorded", 0),
+                         "dropped": rec.get("dropped", 0),
+                         "events": events})
     return captures, errors
 
 
