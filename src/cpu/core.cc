@@ -214,10 +214,10 @@ Core::beginStep(ThreadCtx &t)
         resumeCoro(t, 0);
         return;
     }
-    const BarrierStep &b = std::get<BarrierStep>(step);
-    ++t.stepIdx;
+    const unsigned barrier_id = std::get<BarrierStep>(step).id;
+    t.advance();
     std::vector<ThreadCtx *> released;
-    if (os_.barrierArrive(b.id, &t, released)) {
+    if (os_.barrierArrive(barrier_id, &t, released)) {
         for (ThreadCtx *r : released) {
             if (r != &t) {
                 r->state = ThreadState::Ready;
@@ -395,7 +395,7 @@ Core::stepFinished(ThreadCtx &t)
         return;
     }
 
-    ++t.stepIdx;
+    t.advance();
     profExec(t);
     scheduleStep(1);
 }
@@ -411,7 +411,7 @@ Core::tryCommit(ThreadCtx &t)
             wal_ ? wal_->commitTx(t.curTx, t.id, eq_.curTick()) : 0;
         t.commitPending = false;
         t.curTx = invalidTxId;
-        ++t.stepIdx;
+        t.advance();
         if (persist_wait) {
             // Durable commit: the thread stalls until its record's
             // ordered flush drains from the log device.

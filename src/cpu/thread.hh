@@ -8,12 +8,22 @@
  * checkpoint restore), a plain non-transactional stretch, or a
  * barrier. Lock-based synchronization is expressed inside plain steps
  * with CAS spinlocks (see locks/spinlock.hh).
+ *
+ * A thread holds one materialized step at a time and pulls the next
+ * from its StepSource when the current one retires (commit, plain-step
+ * end, barrier arrival); an abort restarts the step it holds. A
+ * program built as a std::vector<Step> is moved into a source that
+ * hands its steps out in order, so its host memory is what the
+ * workload built; a generator source (the kv workload's) makes each
+ * step on demand, so a thread's memory is one step whatever the
+ * program length.
  */
 
 #ifndef PTM_CPU_THREAD_HH
 #define PTM_CPU_THREAD_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -51,6 +61,27 @@ struct BarrierStep
 
 using Step = std::variant<TxStep, PlainStep, BarrierStep>;
 
+/**
+ * A thread program, one step at a time: each call writes the next step
+ * into its argument and returns true, or returns false once the
+ * program has ended. Called once per step, in program order, and never
+ * again after it returned false.
+ */
+using StepSource = std::function<bool(Step &)>;
+
+/** A source that hands out @p steps in order (moved, not copied). */
+inline StepSource
+stepsOf(std::vector<Step> steps)
+{
+    return [steps = std::move(steps),
+            next = std::size_t(0)](Step &out) mutable {
+        if (next == steps.size())
+            return false;
+        out = std::move(steps[next++]);
+        return true;
+    };
+}
+
 /** Scheduling state of a thread. */
 enum class ThreadState
 {
@@ -67,11 +98,14 @@ enum class ThreadState
 class ThreadCtx
 {
   public:
-    ThreadCtx(ThreadId id, ProcId proc, std::vector<Step> steps,
+    /** Materializes the program's first step. */
+    ThreadCtx(ThreadId id, ProcId proc, StepSource program,
               std::string name = {})
         : id(id), proc(proc), name(std::move(name)),
-          steps_(std::move(steps))
-    {}
+          program_(std::move(program))
+    {
+        pull();
+    }
 
     const ThreadId id;
     const ProcId proc;
@@ -103,8 +137,6 @@ class ThreadCtx
      */
     std::uint64_t epoch = 0;
 
-    std::size_t stepIdx = 0;
-
     /** @name Per-thread statistics */
     /// @{
     std::uint64_t memOps = 0;
@@ -112,22 +144,34 @@ class ThreadCtx
     std::uint64_t restarts = 0;
     /// @}
 
-    bool
-    finished() const
-    {
-        return stepIdx >= steps_.size();
-    }
+    /** The program has no step left. */
+    bool finished() const { return finished_; }
 
-    const Step &
-    currentStep() const
-    {
-        return steps_[stepIdx];
-    }
+    /** The materialized step (only while !finished()). */
+    const Step &currentStep() const { return step_; }
 
-    std::size_t numSteps() const { return steps_.size(); }
+    /** Index of the current step (= steps retired so far). */
+    std::uint64_t stepIndex() const { return stepIdx_; }
+
+    /**
+     * Retire the current step and materialize the next one. The
+     * current step is destroyed: nothing may still refer to it (its
+     * coroutine, or a BarrierStep reference).
+     */
+    void
+    advance()
+    {
+        ++stepIdx_;
+        pull();
+    }
 
   private:
-    std::vector<Step> steps_;
+    void pull() { finished_ = !program_(step_); }
+
+    StepSource program_;
+    Step step_;
+    std::uint64_t stepIdx_ = 0;
+    bool finished_ = false;
 };
 
 } // namespace ptm

@@ -40,9 +40,14 @@ runWorkload(const std::string &workload_name, SystemParams params,
         given.emplace_back("scale", std::to_string(scale));
     given.insert(given.end(), wl_opts.begin(), wl_opts.end());
 
+    auto setup_t0 = std::chrono::steady_clock::now();
     auto wl = makeWorkload(workload_name, wcfg, given);
     System sys(params);
     wl->build(sys);
+    const double setup_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      setup_t0)
+            .count();
     // Full reproducer (the System's default covers only seed/chaos):
     // echoed in every post-mortem dump so a trip is replayable.
     if (sys.flightrec())
@@ -53,6 +58,7 @@ runWorkload(const std::string &workload_name, SystemParams params,
 
     ExperimentResult r = runSystem(
         sys, workload_name + "/" + tmKindName(params.tmKind));
+    r.setupSeconds = setup_seconds;
     // A crashed run has no final state to verify in-process; recovery
     // replays the dump and verifies the committed prefix instead.
     r.verified = !r.crashed && wl->verify(sys);

@@ -95,6 +95,12 @@ struct ExperimentResult
      */
     double wallSeconds = 0;
     double eventsExecuted = 0;
+    /**
+     * Host wall-clock seconds runWorkload spent setting the run up:
+     * making the workload, constructing the System and building the
+     * thread programs (0 from runSystem, which gets a built system).
+     */
+    double setupSeconds = 0;
 };
 
 /**

@@ -668,6 +668,8 @@ emitRunJson(std::ostream &os, const RunManifest &manifest,
     w.member("cycles", std::uint64_t(manifest.cycles));
     w.member("verified", manifest.verified);
     w.member("wall_seconds", manifest.wallSeconds);
+    if (manifest.setupSeconds)
+        w.member("setup_seconds", *manifest.setupSeconds);
     w.member("events_per_sec", manifest.eventsPerSec);
     w.member("sim_events_per_sec", manifest.simEventsPerSec);
     w.member("sim_ticks_per_wall_sec", manifest.simTicksPerWallSec);

@@ -21,7 +21,8 @@
  *                     "granularity": ..., "threads": N, "scale": N,
  *                     "workload_options": { "<key>": "<value>", ... },
  *                     "seed": N, "cycles": N, "verified": bool,
- *                     "wall_seconds": x, "events_per_sec": x,
+ *                     "wall_seconds": x, "setup_seconds": x,
+ *                     "events_per_sec": x,
  *                     "sim_ticks_per_wall_sec": x, "git": "...",
  *                     "params": { ... SystemParams ... } },
  *       "groups": { "<group>": { "<stat>": { "kind": "counter",
@@ -40,6 +41,7 @@
 #define PTM_HARNESS_STATS_IO_HH
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -151,6 +153,12 @@ struct RunManifest
     Tick cycles = 0;
     bool verified = false;
     double wallSeconds = 0;
+    /**
+     * Host seconds spent setting the run up (workload make, System
+     * construction, program build); emitted as "setup_seconds" only
+     * by front ends that measure it.
+     */
+    std::optional<double> setupSeconds;
     /** Host throughput: simulated events executed per wall-second. */
     double eventsPerSec = 0;
     /**

@@ -354,12 +354,11 @@ System::createProcess()
 }
 
 ThreadCtx &
-System::addThread(ProcId proc, std::vector<Step> steps,
-                  std::string name)
+System::addThread(ProcId proc, StepSource program, std::string name)
 {
     ThreadId id = ThreadId(threads_.size());
     threads_.push_back(std::make_unique<ThreadCtx>(
-        id, proc, std::move(steps), std::move(name)));
+        id, proc, std::move(program), std::move(name)));
     os_.admit(threads_.back().get());
     return *threads_.back();
 }

@@ -11,7 +11,8 @@
  *     p.tmKind = TmKind::SelectPtm;
  *     System sys(p);
  *     ProcId proc = sys.createProcess();
- *     sys.addThread(proc, steps);  // coroutine-step program
+ *     sys.addThread(proc, steps);  // coroutine-step program (or a
+ *                                  // StepSource generator)
  *     sys.run();
  *     StatSnapshot s = sys.snapshot();
  *     std::uint64_t commits = s.counter("tx.commits");
@@ -71,8 +72,16 @@ class System
     {
         os_.shareSegmentAt(views, pages);
     }
-    ThreadCtx &addThread(ProcId proc, std::vector<Step> steps,
+    /** Admit a thread that pulls its steps from @p program. */
+    ThreadCtx &addThread(ProcId proc, StepSource program,
                          std::string name = {});
+    /** Admit a thread running @p steps in order. */
+    ThreadCtx &
+    addThread(ProcId proc, std::vector<Step> steps, std::string name = {})
+    {
+        return addThread(proc, stepsOf(std::move(steps)),
+                         std::move(name));
+    }
     unsigned createBarrier(unsigned count)
     {
         return os_.createBarrier(count);

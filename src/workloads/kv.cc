@@ -6,15 +6,16 @@
  *
  * Each thread runs its own deterministic op stream — point lookups,
  * range scans, upserting inserts, and deletes — grouped tx-ops
- * operations per transaction. A transaction draws its ops from the
- * stream when it first runs and keeps them until the next one
- * starts, so a retry after an abort replays the same requests and
- * nothing longer than one transaction is held. Every operation walks
- * the tree from the root through loaded child pointers (a genuine
- * pointer chase over simulated memory), so the handful of top-level
- * inner pages is read by every transaction in the system while the
- * Zipfian skew concentrates leaf and occupancy-counter writes on a hot
- * set — the access pattern the paper's SPT/TAV metadata caches target.
+ * operations per transaction. A thread's steps are made one at a time
+ * as it reaches them, and a transaction draws its ops from the stream
+ * when it first runs and keeps them until the next one starts, so a
+ * retry after an abort replays the same requests and nothing longer
+ * than one transaction is held. Every operation walks the tree from
+ * the root through loaded child pointers (a genuine pointer chase
+ * over simulated memory), so the handful of top-level inner pages is
+ * read by every transaction in the system while the Zipfian skew
+ * concentrates leaf and occupancy-counter writes on a hot set — the
+ * access pattern the paper's SPT/TAV metadata caches target.
  *
  * Locks mode serializes each op group behind one global spinlock
  * (the coarse-grained baseline a serving tree would need without
@@ -22,7 +23,7 @@
  */
 
 #include <algorithm>
-#include <set>
+#include <unordered_map>
 
 #include "locks/spinlock.hh"
 #include "sim/logging.hh"
@@ -218,17 +219,6 @@ TxOpSource::ops(std::uint64_t o0, std::uint64_t o1)
     return ops_;
 }
 
-std::vector<Op>
-generateProgram(const Params &p, const Zipfian &zipf, unsigned thread)
-{
-    OpStream s(p, zipf, thread);
-    std::vector<Op> ops;
-    ops.reserve(p.ops);
-    while (!s.done())
-        ops.push_back(s.next());
-    return ops;
-}
-
 namespace
 {
 
@@ -318,22 +308,26 @@ forEachWord(const Params &p, const std::vector<std::uint32_t> &tags,
 }
 
 std::size_t
-chooseDropIndex(const std::vector<Op> &program)
+chooseDropIndex(OpStream stream)
 {
+    // Keys whose latest write so far is an insert, with its index.
+    std::unordered_map<std::uint32_t, std::size_t> last_insert;
     std::size_t fallback = SIZE_MAX;
-    std::set<std::uint32_t> written_later;
-    for (std::size_t i = program.size(); i-- > 0;) {
-        const Op &op = program[i];
+    while (!stream.done()) {
+        const std::size_t i = std::size_t(stream.position());
+        const Op op = stream.next();
         if (op.type == OpType::Insert) {
-            if (fallback == SIZE_MAX)
-                fallback = i;
-            if (!written_later.count(op.key))
-                return i;
+            last_insert[op.key] = i;
+            fallback = i;
+        } else if (op.type == OpType::Delete) {
+            last_insert.erase(op.key);
         }
-        if (op.isWrite())
-            written_later.insert(op.key);
     }
-    return fallback;
+    std::size_t drop = SIZE_MAX;
+    for (const auto &[key, i] : last_insert)
+        if (drop == SIZE_MAX || i > drop)
+            drop = i;
+    return drop != SIZE_MAX ? drop : fallback;
 }
 
 Params
@@ -403,7 +397,7 @@ class KvWorkload : public Workload
     {
         if (params_.dropWrite != 0)
             drop_idx_ = kv::chooseDropIndex(
-                kv::generateProgram(params_, zipf_, 0));
+                kv::OpStream(params_, zipf_, 0));
         // The scale=0 preset shrinks some non-explicit options; write
         // the effective values back so the stats manifest records the
         // configuration that actually ran, not the declared defaults.
@@ -426,39 +420,8 @@ class KvWorkload : public Workload
         sources_.reserve(T);
         for (unsigned t = 0; t < T; ++t)
             sources_.emplace_back(params_, zipf_, t);
-
-        std::vector<std::vector<Step>> steps(T);
-        for (unsigned t = 0; t < T; ++t) {
-            steps[t].push_back(PlainStep{[this, t](MemCtx m) -> TxCoro {
-                co_await init(m, t);
-            }});
-            pushBarrier(steps[t], barrier_);
-        }
-
-        for (unsigned t = 0; t < T; ++t) {
-            const std::uint64_t n = params_.ops;
-            for (std::uint64_t o0 = 0; o0 < n; o0 += params_.txOps) {
-                std::uint64_t o1 = std::min(n, o0 + params_.txOps);
-                auto body = [this, t, o0, o1](MemCtx m) -> TxCoro {
-                    co_await runOps(m, t, o0, o1);
-                };
-                if (cfg_.mode == SyncMode::Locks) {
-                    // Coarse global lock: the baseline a serving tree
-                    // needs without fine-grained latching.
-                    steps[t].push_back(PlainStep{
-                        [this, body](MemCtx m) -> TxCoro {
-                            co_await spinLock(m, Layout::kLockAddr);
-                            co_await body(m);
-                            co_await spinUnlock(m, Layout::kLockAddr);
-                        }});
-                } else {
-                    steps[t].push_back(work(body));
-                }
-            }
-        }
-
         for (unsigned t = 0; t < T; ++t)
-            sys.addThread(proc_, std::move(steps[t]), "kv");
+            sys.addThread(proc_, program(t), "kv");
     }
 
     bool
@@ -547,6 +510,49 @@ class KvWorkload : public Workload
     }
 
   private:
+    /**
+     * Thread @p t's program, made one step at a time: its stripe of
+     * the store initialization, the start barrier, then one step per
+     * tx-ops slice of its op stream.
+     */
+    StepSource
+    program(unsigned t)
+    {
+        return [this, t, k = std::uint64_t(0)](Step &out) mutable {
+            const std::uint64_t step = k++;
+            if (step == 0) {
+                out = PlainStep{[this, t](MemCtx m) -> TxCoro {
+                    co_await init(m, t);
+                }};
+                return true;
+            }
+            if (step == 1) {
+                out = BarrierStep{barrier_};
+                return true;
+            }
+            const std::uint64_t o0 = (step - 2) * params_.txOps;
+            if (o0 >= params_.ops)
+                return false;
+            const std::uint64_t o1 =
+                std::min(params_.ops, o0 + params_.txOps);
+            auto body = [this, t, o0, o1](MemCtx m) -> TxCoro {
+                co_await runOps(m, t, o0, o1);
+            };
+            if (cfg_.mode == SyncMode::Locks) {
+                // Coarse global lock: the baseline a serving tree
+                // needs without fine-grained latching.
+                out = PlainStep{[this, body](MemCtx m) -> TxCoro {
+                    co_await spinLock(m, Layout::kLockAddr);
+                    co_await body(m);
+                    co_await spinUnlock(m, Layout::kLockAddr);
+                }};
+            } else {
+                out = work(body);
+            }
+            return true;
+        };
+    }
+
     /** Initialize this thread's stripe of the store (plain step). */
     TxCoro
     init(MemCtx m, unsigned t)

@@ -25,10 +25,11 @@
  * independent of commit interleaving: the host oracle replays each
  * thread's stream sequentially and compares the final memory image.
  *
- * No thread's whole program is ever stored: the simulated threads,
- * the oracles and the tests all draw ops from an OpStream, so host
- * memory for requests is one transaction's ops per thread, whatever
- * the run length.
+ * No thread's whole program is ever stored: each simulated thread
+ * holds one step, made when it is reached, and the threads, the
+ * oracles and the drop-write hook all draw ops from an OpStream, so
+ * host memory for requests is one transaction's ops per thread,
+ * whatever the run length.
  */
 
 #ifndef PTM_WORKLOADS_KV_HH
@@ -118,11 +119,11 @@ struct Op
  * Thread @p thread's op stream: its p.ops requests, one at a time, in
  * program order. Bit-exact for a given (params, thread), independent
  * of everything else. Keys are drawn Zipfian-by-rank from @p zipf,
- * which must be Zipfian(p.keys, p.zipf) (building one sums a term per
- * key, so a workload builds it once for its streams and oracles), and
- * scattered over the key space by a seeded bijection; write ops are
- * remapped to the thread's own key partition. Holds references to
- * @p p and @p zipf, which must outlive it.
+ * which must be Zipfian(p.keys, p.zipf) (a workload builds one for its
+ * streams and oracles), and scattered over the key space by a seeded
+ * bijection; write ops are remapped to the thread's own key
+ * partition. Holds references to @p p and @p zipf, which must outlive
+ * it.
  */
 class OpStream
 {
@@ -170,14 +171,6 @@ class TxOpSource
     std::uint64_t first_ = 0;
     std::vector<Op> ops_;
 };
-
-/**
- * Thread @p thread's whole op program: every op of its OpStream in
- * one vector. The workload never stores one; the drop-write hook and
- * the tests do.
- */
-std::vector<Op> generateProgram(const Params &p, const Zipfian &zipf,
-                                unsigned thread);
 
 /** The seeded rank -> key scatter bijection (power-of-two @p keys). */
 std::uint32_t scatterKey(std::uint64_t rank, std::uint64_t keys,
@@ -231,12 +224,13 @@ void forEachWord(const Params &p,
                  const std::function<void(Addr, std::uint32_t)> &emit);
 
 /**
- * Index (into thread 0's program) of the insert the drop-write hook
- * suppresses: the last insert whose key thread 0 never writes again,
- * so the suppression is guaranteed to surface in the final image.
- * Falls back to the last insert; SIZE_MAX if there is none.
+ * Stream index of the insert the drop-write hook suppresses when it
+ * walks @p stream (thread 0's) to its end: the last insert whose key
+ * the stream never writes again, so the suppression is guaranteed to
+ * surface in the final image. Falls back to the last insert; SIZE_MAX
+ * if there is none. Holds one entry per written key, not the program.
  */
-std::size_t chooseDropIndex(const std::vector<Op> &program);
+std::size_t chooseDropIndex(OpStream stream);
 
 /** B+-tree page layout over simulated memory (see file comment). */
 class Layout

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,20 @@ tinyParams()
     p.ops = 1500;
     p.scanLen = 8;
     return p;
+}
+
+/**
+ * Thread @p thread's whole op program: every op of its OpStream in one
+ * vector, the reference the streamed paths are compared against.
+ */
+std::vector<kv::Op>
+generateProgram(const kv::Params &p, const Zipfian &zipf, unsigned thread)
+{
+    kv::OpStream s(p, zipf, thread);
+    std::vector<kv::Op> ops;
+    while (!s.done())
+        ops.push_back(s.next());
+    return ops;
 }
 
 TEST(KvZipfian, SameSeedBitExact)
@@ -67,20 +83,70 @@ TEST(KvZipfian, SkewMatchesTheta)
     EXPECT_LT(head_share(0.0), 0.10);
 }
 
+// The closed-form zeta(n, theta) against the plain sum in long double,
+// smallest terms first: both sides of the head/tail seam (n = 31, 32,
+// 33), the smoke and default key spaces, and skews from near-uniform
+// to theta -> 1, where the tail integral's 1/(1-theta) is largest.
+TEST(KvZipfian, ClosedFormMatchesReferenceSum)
+{
+    for (double theta : {0.01, 0.5, 0.9, 0.99, 0.999}) {
+        for (std::uint64_t n : {1u, 2u, 31u, 32u, 33u, 2048u, 131072u}) {
+            long double ref = 0;
+            for (std::uint64_t i = n; i >= 1; --i)
+                ref += std::pow((long double)i, -(long double)theta);
+            const double z = Zipfian::zeta(n, theta);
+            EXPECT_LE(std::fabs((z - ref) / ref), 1e-14)
+                << "theta " << theta << " n " << n;
+        }
+    }
+}
+
+/**
+ * FNV-1a digest of 10^6 ranks: the first 62 500 of each of threads
+ * 0-15, each from the Pcg32 stream kv's OpStream gives that thread
+ * under seed 1 (ranks only, without the op-type draws between them).
+ */
+std::uint64_t
+rankDigest(std::uint64_t n, double theta)
+{
+    const Zipfian z(n, theta);
+    std::uint64_t h = 1469598103934665603ull;
+    for (unsigned t = 0; t < 16; ++t) {
+        Pcg32 rng(1 + std::uint64_t(t) * 1000003, 0xC0FFEEull + t);
+        for (int i = 0; i < 62500; ++i) {
+            const std::uint64_t r = z.sample(rng);
+            for (int b = 0; b < 8; ++b) {
+                h ^= (r >> (8 * b)) & 0xff;
+                h *= 1099511628211ull;
+            }
+        }
+    }
+    return h;
+}
+
+// The rank streams of the default (131072 keys) and smoke (2048 keys)
+// stores, pinned to the digests of the summed-constant sampler the
+// closed form replaced: every BENCH row and benchmark figure depends
+// on these exact ranks.
+TEST(KvZipfian, RankStreamPinned)
+{
+    EXPECT_EQ(rankDigest(131072, 0.99), 0xff027c061129c9cdull);
+    EXPECT_EQ(rankDigest(2048, 0.99), 0x1bc9928319afe108ull);
+}
+
 TEST(KvProgram, DeterministicPerThread)
 {
     kv::Params p = tinyParams();
     const Zipfian zipf(p.keys, p.zipf);
     for (unsigned t = 0; t < p.threads; ++t) {
         // A shared sampler and a fresh one draw the same stream.
-        auto a = kv::generateProgram(p, zipf, t);
-        auto b = kv::generateProgram(p, Zipfian(p.keys, p.zipf), t);
+        auto a = generateProgram(p, zipf, t);
+        auto b = generateProgram(p, Zipfian(p.keys, p.zipf), t);
         ASSERT_EQ(a.size(), p.ops);
         EXPECT_TRUE(a == b) << "thread " << t;
     }
     // Different threads draw different streams.
-    EXPECT_FALSE(kv::generateProgram(p, zipf, 0) ==
-                 kv::generateProgram(p, zipf, 1));
+    EXPECT_FALSE(generateProgram(p, zipf, 0) == generateProgram(p, zipf, 1));
 }
 
 TEST(KvProgram, WritesStayInOwnerPartition)
@@ -89,7 +155,7 @@ TEST(KvProgram, WritesStayInOwnerPartition)
     const Zipfian zipf(p.keys, p.zipf);
     std::map<kv::OpType, int> count;
     for (unsigned t = 0; t < p.threads; ++t) {
-        for (const kv::Op &op : kv::generateProgram(p, zipf, t)) {
+        for (const kv::Op &op : generateProgram(p, zipf, t)) {
             ASSERT_LT(op.key, p.keys);
             if (op.isWrite()) {
                 EXPECT_EQ(op.key % p.threads, t);
@@ -118,7 +184,7 @@ TEST(KvProgram, TxSourceYieldsTheProgramAndReplaysRetries)
     p.txOps = 7; // 1500 ops: 214 full transactions and a 2-op tail
     const Zipfian zipf(p.keys, p.zipf);
     for (unsigned t = 0; t < p.threads; ++t) {
-        const auto prog = kv::generateProgram(p, zipf, t);
+        const auto prog = generateProgram(p, zipf, t);
         kv::TxOpSource src(p, zipf, t);
         for (std::uint64_t o0 = 0; o0 < p.ops; o0 += p.txOps) {
             const std::uint64_t o1 = std::min(p.ops, o0 + p.txOps);
@@ -162,7 +228,7 @@ referenceTags(const kv::Params &p, const Zipfian &zipf,
         if (kv::preloaded(p, k))
             tags[k] = kv::preloadTag(p.seed, k);
     for (unsigned t = 0; t < p.threads; ++t) {
-        const auto prog = kv::generateProgram(p, zipf, t);
+        const auto prog = generateProgram(p, zipf, t);
         for (std::size_t i = 0; i < nops[t]; ++i) {
             if (prog[i].type == kv::OpType::Insert)
                 tags[prog[i].key] =
@@ -261,8 +327,9 @@ TEST(KvLayout, SeparatorDescentReachesEveryLeaf)
 TEST(KvOracle, DropIndexTargetsNeverRewrittenInsert)
 {
     kv::Params p = tinyParams();
-    auto program = kv::generateProgram(p, Zipfian(p.keys, p.zipf), 0);
-    std::size_t drop = kv::chooseDropIndex(program);
+    const Zipfian zipf(p.keys, p.zipf);
+    auto program = generateProgram(p, zipf, 0);
+    std::size_t drop = kv::chooseDropIndex(kv::OpStream(p, zipf, 0));
     ASSERT_NE(drop, std::size_t(-1));
     ASSERT_EQ(program[drop].type, kv::OpType::Insert);
     // No later write of thread 0 may mask the suppressed insert.
@@ -271,6 +338,91 @@ TEST(KvOracle, DropIndexTargetsNeverRewrittenInsert)
             EXPECT_NE(program[i].key, program[drop].key);
         }
     }
+}
+
+/** The drop-write choice as a backward scan of the whole program. */
+std::size_t
+reverseScanDropIndex(const std::vector<kv::Op> &program)
+{
+    std::size_t fallback = SIZE_MAX;
+    std::set<std::uint32_t> written_later;
+    for (std::size_t i = program.size(); i-- > 0;) {
+        const kv::Op &op = program[i];
+        if (op.type == kv::OpType::Insert) {
+            if (fallback == SIZE_MAX)
+                fallback = i;
+            if (!written_later.count(op.key))
+                return i;
+        }
+        if (op.isWrite())
+            written_later.insert(op.key);
+    }
+    return fallback;
+}
+
+// The streamed forward walk picks the insert a backward scan over the
+// stored program would, for every thread of: the tiny preset at three
+// seeds, the full-size default store, uniform keys, delete-heavy
+// churn over 16 keys per partition (the last insert is often deleted
+// again, so the choice is an earlier one, or, when every insert is
+// rewritten, the fallback), and a read-only mix with no insert. Each
+// of those four outcomes must occur at least once.
+TEST(KvOracle, StreamedDropIndexEqualsReverseScan)
+{
+    std::vector<kv::Params> configs;
+    for (std::uint64_t seed : {1, 2, 7}) {
+        kv::Params p = tinyParams();
+        p.seed = seed;
+        configs.push_back(p);
+    }
+    configs.push_back(kv::Params{}); // 131072 keys, 12000 ops
+    kv::Params uniform = tinyParams();
+    uniform.zipf = 0.0;
+    configs.push_back(uniform);
+    for (std::uint64_t insert_pct : {2, 10})
+        for (std::uint64_t seed : {1, 2, 3, 4}) {
+            kv::Params churn = tinyParams();
+            churn.seed = seed;
+            churn.keys = 64;
+            churn.ops = 400;
+            churn.lookupPct = churn.scanPct = 0;
+            churn.insertPct = insert_pct;
+            churn.deletePct = 100 - insert_pct;
+            configs.push_back(churn);
+        }
+    kv::Params readonly = tinyParams();
+    readonly.lookupPct = 100;
+    readonly.scanPct = readonly.insertPct = readonly.deletePct = 0;
+    configs.push_back(readonly);
+
+    enum Outcome { LastInsert, EarlierInsert, Fallback, NoInsert };
+    std::set<Outcome> seen;
+    for (const kv::Params &p : configs) {
+        const Zipfian zipf(p.keys, p.zipf);
+        for (unsigned t = 0; t < p.threads; ++t) {
+            const auto prog = generateProgram(p, zipf, t);
+            const std::size_t want = reverseScanDropIndex(prog);
+            EXPECT_EQ(kv::chooseDropIndex(kv::OpStream(p, zipf, t)), want)
+                << "seed " << p.seed << " keys " << p.keys << " insert "
+                << p.insertPct << "% thread " << t;
+            if (want == SIZE_MAX) {
+                seen.insert(NoInsert);
+                continue;
+            }
+            bool rewritten = false;
+            bool later_insert = false;
+            for (std::size_t j = want + 1; j < prog.size(); ++j) {
+                rewritten = rewritten || (prog[j].isWrite() &&
+                                          prog[j].key == prog[want].key);
+                later_insert =
+                    later_insert || prog[j].type == kv::OpType::Insert;
+            }
+            seen.insert(rewritten      ? Fallback
+                        : later_insert ? EarlierInsert
+                                       : LastInsert);
+        }
+    }
+    EXPECT_EQ(seen.size(), 4u) << "an outcome went untested";
 }
 
 TEST(KvOracle, ExpectedFinalRespectsPreloadAndWrites)
@@ -282,7 +434,7 @@ TEST(KvOracle, ExpectedFinalRespectsPreloadAndWrites)
     // Keys nobody writes keep their preload state.
     std::vector<bool> written(p.keys, false);
     for (unsigned t = 0; t < p.threads; ++t)
-        for (const kv::Op &op : kv::generateProgram(p, zipf, t))
+        for (const kv::Op &op : generateProgram(p, zipf, t))
             if (op.isWrite())
                 written[op.key] = true;
     int untouched = 0;
@@ -315,6 +467,7 @@ TEST(KvWorkload, VerifiesOnAllBackends)
         SystemParams prm = quietParams(kind);
         ExperimentResult r = runWorkload("kv", prm, 0, 4);
         EXPECT_TRUE(r.verified) << "kv on " << tmKindName(kind);
+        EXPECT_GT(r.setupSeconds, 0.0);
         EXPECT_EQ(r.snapshot.counter("sys.hit_tick_limit"), 0u);
         if (syncModeFor(kind) == SyncMode::Tx) {
             EXPECT_GT(r.snapshot.counter("tx.commits"), 0u);
@@ -348,6 +501,43 @@ TEST(KvWorkload, SixteenCoresWaitBehindOlderTransactions)
     for (unsigned c = 0; c < r.profile.cores.size(); ++c)
         EXPECT_EQ(r.profile.coreTotal(c), r.profile.elapsed) << "core "
                                                              << c;
+}
+
+// Thread programs are made one step at a time: building a run of
+// 10^12 ops per thread (which a stored program could not hold)
+// materializes each thread's first step, its plain init stripe, and
+// no transaction; the transactions are then made as the run reaches
+// them.
+TEST(KvWorkload, BuildMaterializesNoTransaction)
+{
+    WorkloadConfig cfg;
+    cfg.threads = 4;
+    auto wl = makeWorkload("kv", cfg,
+                           {{"scale", "0"}, {"ops", "1000000000000"}});
+    SystemParams prm = quietParams(TmKind::SelectPtm);
+    prm.maxTicks = 2 * 1000 * 1000;
+    System sys(prm);
+    wl->build(sys);
+    ASSERT_EQ(sys.numThreads(), 4u);
+    for (unsigned t = 0; t < 4; ++t) {
+        const ThreadCtx &th = sys.thread(t);
+        EXPECT_EQ(th.stepIndex(), 0u) << "thread " << t;
+        EXPECT_TRUE(std::holds_alternative<PlainStep>(th.currentStep()))
+            << "thread " << t;
+    }
+    sys.run();
+    const StatSnapshot s = sys.snapshot();
+    EXPECT_EQ(s.counter("sys.hit_tick_limit"), 1u);
+    EXPECT_GT(s.counter("tx.commits"), 0u);
+    // Past init and the barrier, a thread retires one step per
+    // committed transaction.
+    std::uint64_t retired_txs = 0;
+    for (unsigned t = 0; t < 4; ++t) {
+        ASSERT_GE(sys.thread(t).stepIndex(), 2u) << "thread " << t;
+        EXPECT_FALSE(sys.thread(t).finished()) << "thread " << t;
+        retired_txs += sys.thread(t).stepIndex() - 2;
+    }
+    EXPECT_EQ(retired_txs, s.counter("tx.commits"));
 }
 
 TEST(KvRegistry, EntryAndOptionTable)

@@ -30,9 +30,9 @@ from pathlib import Path
 from ptmtools import CheckError, run_ok
 
 # Host-dependent manifest fields; everything else must match.
-IGNORED_MANIFEST_FIELDS = ("wall_seconds", "git", "events_per_sec",
-                          "sim_events_per_sec",
-                          "sim_ticks_per_wall_sec")
+IGNORED_MANIFEST_FIELDS = ("wall_seconds", "setup_seconds", "git",
+                           "events_per_sec", "sim_events_per_sec",
+                           "sim_ticks_per_wall_sec")
 
 DEFAULT_CONFIGS = [
     ["--workload", "fft", "--system", "sel-ptm", "--gran", "wd:cache",

@@ -36,6 +36,7 @@ MANIFEST_FIELDS = {
     "cycles": (int, float),
     "verified": bool,
     "wall_seconds": (int, float),
+    "setup_seconds": (int, float),
     "events_per_sec": (int, float),
     "sim_events_per_sec": (int, float),
     "sim_ticks_per_wall_sec": (int, float),
@@ -395,7 +396,8 @@ def self_test():
             "tool": "ptm_sim", "workload": "fft", "system": "sel-ptm",
             "granularity": "blk", "seed": 1, "threads": 2, "scale": 0,
             "workload_options": {}, "cycles": 100, "verified": True,
-            "wall_seconds": 0.5, "events_per_sec": 1e6,
+            "wall_seconds": 0.5, "setup_seconds": 0.01,
+            "events_per_sec": 1e6,
             "sim_events_per_sec": 1e6, "sim_ticks_per_wall_sec": 2e6,
             "git": "test", "params": {}},
         "groups": {g: {"n": {"kind": "counter", "value": 1}}

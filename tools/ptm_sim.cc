@@ -292,6 +292,7 @@ main(int argc, char **argv)
         m.cycles = r.cycles;
         m.verified = r.verified;
         m.wallSeconds = wall;
+        m.setupSeconds = r.setupSeconds;
         m.eventsPerSec =
             wall > 0 ? s.value("events.executed") / wall : 0;
         m.simEventsPerSec =
