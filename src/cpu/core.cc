@@ -8,7 +8,6 @@
 #include <algorithm>
 
 #include "persist/wal.hh"
-#include "sim/flightrec.hh"
 #include "sim/logging.hh"
 #include "vm/os_kernel.hh"
 
@@ -80,14 +79,11 @@ Core::preempt(ThreadCtx &t, Tick next_step_delay)
     ++os_.contextSwitches;
     os_.tracer().record(TraceEventType::CtxSwitch, id_, t.id,
                         invalidTxId, invalidTxId, 1);
-    if (t.curTx != invalidTxId) {
-        // A mid-transaction thread leaves the core: retire its pending
-        // execution ticks now (optimistically, unless already doomed)
-        // so the pot stays core-local across the migration.
-        Tick retired = prof_->resolveTx(id_, !t.abortPending);
-        if (fr_ && t.abortPending && retired)
-            fr_->onWasted(t.curTx, retired);
-    }
+    // A mid-transaction thread leaves the core: retire its pending
+    // execution ticks now (optimistically, unless already doomed) so
+    // the pot stays core-local across the migration.
+    if (t.curTx != invalidTxId)
+        prof_->resolveTx(id_, !t.abortPending);
     prof_->set(id_, ProfBucket::CtxSwitch);
     if (params_.flushOnContextSwitch && t.curTx != invalidTxId &&
         txmgr_.isLive(t.curTx)) {
@@ -462,9 +458,7 @@ Core::handleAbort(ThreadCtx &t)
     // The aborted attempt's execution was wasted; collapsing the phase
     // stack also cleans up any stall span whose pop the epoch bump
     // just abandoned.
-    Tick wasted = prof_->resolveTx(id_, false);
-    if (fr_ && wasted)
-        fr_->onWasted(t.curTx, wasted);
+    prof_->resolveTx(id_, false);
     prof_->collapse(id_, ProfBucket::TxAbort);
 
     if (!t.abortCleanupDone) {

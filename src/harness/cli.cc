@@ -235,15 +235,6 @@ addSystemOptions(OptionTable &opts, SystemParams &prm)
                     prm.trace.bufferEvents = std::size_t(n);
                     return true;
                 });
-    opts.option("trace-sample-interval", "TICKS",
-                "stat-sampler period in ticks (0 disables sampling)",
-                [&prm](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n))
-                        return false;
-                    prm.trace.sampleInterval = Tick(n);
-                    return true;
-                });
     opts.option("watch-addr", "ADDR",
                 "emit watchpoint events for this physical word "
                 "address (decimal or 0x hex)",
@@ -261,20 +252,12 @@ addSystemOptions(OptionTable &opts, SystemParams &prm)
               [&prm] { prm.profile.enabled = true; });
     opts.flag("host-profile",
               "also profile the host event loop (per-site event "
-              "counts and sampled wall time); implies --profile",
+              "counts, wall time of every 32nd event); implies "
+              "--profile",
               [&prm] {
                   prm.profile.enabled = true;
                   prm.profile.host = true;
               });
-    opts.option("host-profile-interval", "N",
-                "measure host time of every N-th event (default 32)",
-                [&prm](const std::string &v) {
-                    std::uint64_t n;
-                    if (!parseU64(v, n) || n == 0 || n > 0xFFFFFFFFull)
-                        return false;
-                    prm.profile.hostSampleInterval = unsigned(n);
-                    return true;
-                });
 
     opts.flag("chaos",
               "enable deterministic fault injection (seeded; see "
@@ -414,8 +397,8 @@ addSystemOptions(OptionTable &opts, SystemParams &prm)
                     return true;
                 });
     opts.option("timeseries-interval", "TICKS",
-                "time-series sampling period in simulated ticks "
-                "(default 100000)",
+                "time-series and trace counter-sample period in "
+                "simulated ticks (default 100000)",
                 [&prm](const std::string &v) {
                     std::uint64_t n;
                     if (!parseU64(v, n) || n == 0)

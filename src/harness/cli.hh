@@ -141,9 +141,8 @@ class OptionTable
  * @p prm (a front end copies it per configuration):
  *
  *  - tracing: --trace, --trace-format, --trace-categories,
- *    --trace-buffer-events, --trace-sample-interval, --watch-addr;
- *  - cycle accounting: --profile, --host-profile (implies --profile),
- *    --host-profile-interval;
+ *    --trace-buffer-events, --watch-addr;
+ *  - cycle accounting: --profile, --host-profile (implies --profile);
  *  - fault injection: --chaos, --chaos-seed, --chaos-plan,
  *    --chaos-interval (the last three imply --chaos), --chaos-squeeze,
  *    --chaos-cleanup-delay;
@@ -152,9 +151,9 @@ class OptionTable
  *  - the interconnect: --mem-banks N (power of two, max 256; 1
  *    reproduces the paper's single bus bit-exactly);
  *  - telemetry: --live-stats[=TICKS], --timeseries FILE,
- *    --timeseries-interval, --heatmap, --heatmap-k (the streaming
- *    options and --heatmap-k imply --heatmap, so live records carry
- *    hot_pages);
+ *    --timeseries-interval (also the period of the trace's counter
+ *    samples), --heatmap, --heatmap-k (the streaming options and
+ *    --heatmap-k imply --heatmap, so live records carry hot_pages);
  *  - forensics: --flightrec-depth (0 removes the always-on flight
  *    recorder), --postmortem FILE and --postmortem-on-abort N (either
  *    arms post-mortem capture);

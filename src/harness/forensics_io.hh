@@ -29,7 +29,6 @@
  *                      "attempts": N, "aborts": N, "kills": N,
  *                      "spt_misses": N, "tav_misses": N,
  *                      "shadow_allocs": N, "wasted_ticks": N,
- *                      "lost_ticks": N,
  *                      "recent_aborts": [ { "tick": N, "attempt": N,
  *                                           "cause": "...",
  *                                           "where": N | -1,

@@ -72,21 +72,20 @@ printHostProfile(std::FILE *out, const HostProfile &host)
 
     std::vector<HostProfile::Site> sites = host.sites;
     std::sort(sites.begin(), sites.end(),
-              [&](const HostProfile::Site &a, const HostProfile::Site &b) {
-                  return a.estimatedNs(host.sampleInterval) >
-                         b.estimatedNs(host.sampleInterval);
+              [](const HostProfile::Site &a, const HostProfile::Site &b) {
+                  return a.estimatedNs() > b.estimatedNs();
               });
 
     std::fprintf(out,
                  "host event-loop profile  (every %u-th event timed)\n",
-                 host.sampleInterval);
+                 HostProfile::sampleInterval);
     std::fprintf(out, "  %-16s %12s %10s %12s\n", "site", "events",
                  "sampled", "est. ms");
     for (const auto &s : sites)
         std::fprintf(out, "  %-16s %12llu %10llu %12.3f\n",
                      s.name.c_str(), (unsigned long long)s.events,
                      (unsigned long long)s.sampled,
-                     double(s.estimatedNs(host.sampleInterval)) / 1e6);
+                     double(s.estimatedNs()) / 1e6);
 }
 
 void

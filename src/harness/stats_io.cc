@@ -518,7 +518,7 @@ emitProfile(JsonWriter &w, const ProfSnapshot &prof,
     if (host && host->enabled) {
         w.key("host");
         w.beginObject();
-        w.member("sample_interval", host->sampleInterval);
+        w.member("sample_interval", HostProfile::sampleInterval);
         w.key("sites");
         w.beginArray();
         for (const auto &s : host->sites) {
@@ -527,7 +527,7 @@ emitProfile(JsonWriter &w, const ProfSnapshot &prof,
             w.member("events", s.events);
             w.member("sampled", s.sampled);
             w.member("sampled_ns", s.sampledNs);
-            w.member("estimated_ns", s.estimatedNs(host->sampleInterval));
+            w.member("estimated_ns", s.estimatedNs());
             w.endObject();
         }
         w.endArray();
@@ -607,7 +607,7 @@ emitForensics(JsonWriter &w, const ForensicsSnapshot &f)
     w.key("forensics");
     w.beginObject();
     w.member("depth", f.depth);
-    w.member("generations", f.generations);
+    w.member("generations", FlightRecorder::generations);
     w.member("armed", f.armed);
     w.member("live_records", f.liveRecords);
     w.member("retired_records", f.retiredRecords);

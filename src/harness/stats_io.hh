@@ -220,10 +220,10 @@ const char *gitDescribe();
  *                    "top_killers": [ { "tx": N, "kills": N,
  *                                       "wasted_ticks": N }, ... ] }
  *
- * wasted_ticks_total covers dropped records too, so on runs that
- * finish before the tick limit it reconciles exactly with the
- * profiler's tx_wasted bucket (tools/check_postmortem_json.py gates
- * this).
+ * wasted_ticks_total (the attempt ticks of every aborted attempt)
+ * covers dropped records too, so it equals the profile's
+ * supervisor.aborted_tx_ticks exactly (tools/check_postmortem_json.py
+ * gates this).
  */
 void emitRunJson(std::ostream &os, const RunManifest &manifest,
                  const StatSnapshot &snap,

@@ -72,7 +72,7 @@ System::System(const SystemParams &params)
             vtm->setProfiler(&profiler_);
     }
     if (params_.profile.host)
-        eq_.enableHostProfile(params_.profile.hostSampleInterval);
+        eq_.enableHostProfile();
 
     std::vector<Core *> core_ptrs;
     for (unsigned c = 0; c < params_.numCores; ++c) {
@@ -127,8 +127,6 @@ System::System(const SystemParams &params)
         flightrec_ =
             std::make_unique<FlightRecorder>(params_.forensics);
         txmgr_.setFlightRec(flightrec_.get());
-        for (auto &c : cores_)
-            c->setFlightRec(flightrec_.get());
         if (vts_)
             vts_->setFlightRec(flightrec_.get());
         using ull = unsigned long long;
@@ -298,24 +296,25 @@ System::wireHooks()
 {
     txmgr_.onLogicalCommit = [this](TxId tx) {
         mem_.commitClearTx(tx);
-        if (auditor_.attached() && params_.audit.atBoundaries)
+        if (auditor_.attached())
             auditor_.checkAll("commit", eq_.curTick());
     };
     txmgr_.onLogicalAbort = [this](TxId tx) {
         mem_.abortInvalidate(tx);
-        if (auditor_.attached() && params_.audit.atBoundaries)
+        if (auditor_.attached())
             auditor_.checkAll("abort", eq_.curTick());
     };
     os_.onThreadExit = [this](ThreadCtx *t) {
         if (vts_)
             vts_->drainThreadCleanups(t->id);
-        // The pending sample event would otherwise keep the queue
-        // running to the next interval boundary after the workload
-        // ends, inflating the elapsed time the profiler closes
-        // against (same hazard as the daemon timer). The final flush
-        // in run() still covers the cancelled remainder.
-        if (os_.liveThreads() == 1)
-            timeseriesEvent_.cancel();
+        // The pending time-series sample would otherwise keep the
+        // queue running to the next interval boundary after the
+        // workload ends, inflating the elapsed time the profiler
+        // closes against (same hazard as the daemon timer); the final
+        // flush in run() covers the cancelled remainder. A trace with
+        // counter samples keeps that last boundary's sample.
+        if (os_.liveThreads() == 1 && sampled_.empty())
+            sampleEvent_.cancel();
     };
     if (backend_) {
         txmgr_.backendCommit = [this](TxId tx) {
@@ -366,76 +365,60 @@ System::addThread(ProcId proc, StepSource program, std::string name)
 void
 System::startSampler()
 {
-    if (!tracer_.active() || !tracer_.enabled(TraceCat::Sample) ||
-        params_.trace.sampleInterval == 0)
-        return;
-    // Probe whichever of these registered stats exist in this system
-    // (the backend groups are configuration dependent).
-    static const char *const paths[] = {
-        "tx.commits",          "tx.aborts",
-        "mem.conflicts",       "mem.evictions",
-        "os.context_switches", "os.page_faults",
-        "vts.live_shadow_pages", "vts.shadow_allocs",
-        "vtm.xadt_entries",
-    };
-    sampled_.clear();
-    for (const char *path : paths) {
-        std::string p(path);
-        auto dot = p.find('.');
-        const StatGroup *g = registry_.find(p.substr(0, dot));
-        const StatRef *r = g ? g->find(p.substr(dot + 1)) : nullptr;
-        if (r)
-            sampled_.emplace_back(tracer_.sampleSeries(p), r);
+    if (tracer_.active() && tracer_.enabled(TraceCat::Sample)) {
+        // The trace's counter samples probe whichever of these
+        // registered stats exist in this system (the backend groups
+        // are configuration dependent).
+        static const char *const paths[] = {
+            "tx.commits",          "tx.aborts",
+            "mem.conflicts",       "mem.evictions",
+            "os.context_switches", "os.page_faults",
+            "vts.live_shadow_pages", "vts.shadow_allocs",
+            "vtm.xadt_entries",
+        };
+        for (const char *path : paths) {
+            std::string p(path);
+            auto dot = p.find('.');
+            const StatGroup *g = registry_.find(p.substr(0, dot));
+            const StatRef *r = g ? g->find(p.substr(dot + 1)) : nullptr;
+            if (r)
+                sampled_.emplace_back(tracer_.sampleSeries(p), r);
+        }
     }
-    if (!sampled_.empty())
+    if (params_.timeseries.enabled()) {
+        timeseries_ = std::make_unique<TimeseriesSampler>(
+            params_.timeseries, registry_, eq_);
+        timeseries_->setRunInfo(tmKindArg(params_.tmKind), params_.seed,
+                                params_.numCores);
+        if (heatmap_)
+            timeseries_->setHotPages(
+                [this] { return heatmap_->hotPagesJson(8); });
+        // Baselines before the first event executes: interval delta
+        // sums then reconcile exactly with the end-of-run totals.
+        timeseries_->start();
+    }
+    if (timeseries_ || !sampled_.empty())
         scheduleSample();
 }
 
 void
 System::scheduleSample()
 {
-    eq_.scheduleIn(params_.trace.sampleInterval, EventPriority::Stats,
-                   [this] {
-                       for (const auto &[series, ref] : sampled_)
-                           tracer_.record(TraceEventType::CounterSample,
-                                          traceNoId, traceNoId,
-                                          invalidTxId, invalidTxId,
-                                          series, 0, ref->numeric());
-                       // Stop once the workload drained so the event
-                       // queue can run dry.
-                       if (os_.liveThreads() > 0)
-                           scheduleSample();
-                   });
-}
-
-void
-System::startTimeseries()
-{
-    if (!params_.timeseries.enabled())
-        return;
-    timeseries_ = std::make_unique<TimeseriesSampler>(
-        params_.timeseries, registry_, eq_);
-    timeseries_->setRunInfo(tmKindArg(params_.tmKind), params_.seed,
-                            params_.numCores);
-    if (heatmap_)
-        timeseries_->setHotPages(
-            [this] { return heatmap_->hotPagesJson(8); });
-    // Baselines before the first event executes: interval delta sums
-    // then reconcile exactly with the end-of-run totals.
-    timeseries_->start();
-    scheduleTimeseries();
-}
-
-void
-System::scheduleTimeseries()
-{
-    timeseriesEvent_ =
-        eq_.scheduleIn(params_.timeseries.interval,
-                       EventPriority::Stats, [this] {
-                           timeseries_->sample();
-                           if (os_.liveThreads() > 0)
-                               scheduleTimeseries();
-                       });
+    sampleEvent_ = eq_.scheduleIn(
+        params_.timeseries.interval, EventPriority::Stats, [this] {
+            for (const auto &[series, ref] : sampled_)
+                tracer_.record(TraceEventType::CounterSample, traceNoId,
+                               traceNoId, invalidTxId, invalidTxId,
+                               series, 0, ref->numeric());
+            // A trace keeps the boundary after the last thread exit
+            // (see onThreadExit); the time series closes at run end
+            // with its final flush instead.
+            if (os_.liveThreads() == 0)
+                return; // the workload drained: let the queue run dry
+            if (timeseries_)
+                timeseries_->sample();
+            scheduleSample();
+        });
 }
 
 void
@@ -557,7 +540,6 @@ Tick
 System::run()
 {
     startSampler();
-    startTimeseries();
     startChaos();
     startAudit();
     os_.startTimers();

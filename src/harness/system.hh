@@ -212,10 +212,9 @@ class System
     void wireHooks();
     void regStats();
     void unparkIfWaiting(ThreadCtx *t, ThreadState expected);
+    /** Start the periodic stat sample (trace counters, time series). */
     void startSampler();
     void scheduleSample();
-    void startTimeseries();
-    void scheduleTimeseries();
     void startChaos();
     void scheduleChaos();
     void injectChaos();
@@ -241,8 +240,11 @@ class System
     std::unique_ptr<ContentionHeatmap> heatmap_;
     std::unique_ptr<FlightRecorder> flightrec_;
     std::unique_ptr<TimeseriesSampler> timeseries_;
-    /** Pending periodic sample; cancelled when the workload ends. */
-    EventQueue::Handle timeseriesEvent_;
+    /**
+     * Pending periodic sample, every timeseries.interval ticks; one
+     * event serves both the trace counters and the time series.
+     */
+    EventQueue::Handle sampleEvent_;
     std::unique_ptr<TmBackend> backend_;
     Vts *vts_ = nullptr; //!< non-owning view of backend_ when PTM
     std::unique_ptr<WalManager> wal_;

@@ -156,10 +156,11 @@ struct AuditParams
 {
     /** Master switch; the auditor is never built while false. */
     bool enabled = false;
-    /** Ticks between periodic full audits (0 = boundaries only). */
+    /**
+     * Ticks between periodic full audits (0 = boundaries only). Every
+     * logical commit/abort boundary is audited as well.
+     */
     Tick interval = 100000;
-    /** Also audit at every logical commit/abort boundary. */
-    bool atBoundaries = true;
 };
 
 /** Contention-robustness knobs (tx/tx_manager, cpu/core). */
@@ -222,8 +223,6 @@ struct ForensicsParams
      * never-taken branch). The recorder is cheap enough to default on.
      */
     unsigned depth = 256;
-    /** Generations of abort causality the post-mortem DAG walks. */
-    unsigned generations = 8;
     /**
      * Post-mortem dump sink: empty = no dump, "-"/"stderr" = stderr,
      * anything else = a ptm-postmortem-v1 JSON file. Setting a path

@@ -413,15 +413,11 @@ class EventQueue
 
     /**
      * Turn on wall-clock profiling of the run loop: per-site event
-     * counts, with the host time of every @p sample_interval-th event
-     * measured so the overhead stays small.
+     * counts, with the host time of every
+     * HostProfile::sampleInterval-th event measured so the overhead
+     * stays small.
      */
-    void
-    enableHostProfile(unsigned sample_interval)
-    {
-        host_profile_ = true;
-        host_interval_ = sample_interval ? sample_interval : 1;
-    }
+    void enableHostProfile() { host_profile_ = true; }
 
     /** Captured per-site host profile (empty sites elided). */
     HostProfile
@@ -429,7 +425,6 @@ class EventQueue
     {
         HostProfile h;
         h.enabled = host_profile_;
-        h.sampleInterval = host_interval_;
         for (const SiteCounters &s : sites_) {
             if (!s.events)
                 continue;
@@ -532,7 +527,7 @@ class EventQueue
                                          : std::size_t(site);
         SiteCounters &s = sites_[idx];
         ++s.events;
-        if (++host_count_ >= host_interval_) {
+        if (++host_count_ >= HostProfile::sampleInterval) {
             host_count_ = 0;
             auto t0 = std::chrono::steady_clock::now();
             fn();
@@ -580,7 +575,6 @@ class EventQueue
         {"os", 3},     {"stats", 4},
     };
     bool host_profile_ = false;
-    unsigned host_interval_ = 32;
     unsigned host_count_ = 0;
 };
 

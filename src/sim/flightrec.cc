@@ -81,7 +81,7 @@ FlightRecorder::onRestart(TxId id, Tick now, unsigned attempts)
 
 void
 FlightRecorder::onAbort(TxId id, Tick now, std::uint8_t cause,
-                        Addr where, TxId winner)
+                        Addr where, TxId winner, Tick attemptTicks)
 {
     FlightRecord &rec = liveRecord(id);
     FlightAbortEvent &ev =
@@ -92,8 +92,7 @@ FlightRecorder::onAbort(TxId id, Tick now, std::uint8_t cause,
     ev.where = where;
     ev.winner = winner;
     ++rec.abortCount;
-    if (now >= rec.lastBegin)
-        rec.lostTicks += now - rec.lastBegin;
+    rec.wastedTicks += attemptTicks;
     // `rec` may dangle after the winner lookup below (FlatMap
     // insertion can rehash), so read what the trigger needs first.
     unsigned abort_count = rec.abortCount;
@@ -128,12 +127,6 @@ FlightRecorder::onCommit(TxId id, Tick now)
     }
     ++retiredRecords;
     live_.erase(id);
-}
-
-void
-FlightRecorder::onWasted(TxId id, Tick amount)
-{
-    liveRecord(id).wastedTicks += amount;
 }
 
 void
@@ -189,7 +182,7 @@ FlightRecorder::chainDepthOf(const FlightRecord &rec) const
     unsigned depth = 0;
     TxId tx = rec.id;
     Tick bound = ~Tick(0);
-    while (depth < params_.generations) {
+    while (depth < generations) {
         const FlightAbortEvent *ev = lastAbortBefore(tx, bound);
         if (!ev || ev->winner == invalidTxId)
             break;
@@ -277,7 +270,7 @@ FlightRecorder::buildDag(PostmortemReport &r, Tick now) const
             r.edges.push_back({w.from, idx});
         r.chainDepth = std::max(r.chainDepth, w.gen);
         if (fresh && ev && ev->winner != invalidTxId &&
-            w.gen < params_.generations)
+            w.gen < generations)
             queue.push_back({ev->winner, ev->tick, w.gen + 1, idx});
     }
 
@@ -321,7 +314,6 @@ FlightRecorder::snapshot() const
     s.enabled = true;
     s.armed = armed_;
     s.depth = params_.depth;
-    s.generations = params_.generations;
     s.liveRecords = live_.size();
     s.retiredRecords = ring_.size();
     s.droppedRecords = droppedRecords.value();

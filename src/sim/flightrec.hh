@@ -6,7 +6,8 @@
  * a fixed-capacity ring of recently-retired ones: begin/restart ticks,
  * the most recent abort events (cause, conflicting address, winner),
  * retry counts, SPT/TAV miss counts, shadow-page allocations, and the
- * wasted ticks the cycle profiler retired against the transaction.
+ * wasted ticks: the attempt ticks (attempt begin to abort, stalls
+ * included) of every aborted attempt, as the TxManager computed them.
  * Updates are O(1) hash-map bumps, cheap enough to stay always on;
  * `--flightrec-depth 0` removes the recorder entirely (components then
  * hold a null pointer, one never-taken branch per hook).
@@ -14,7 +15,7 @@
  * On a trigger — starvation-watchdog trip, starvation-token grant,
  * auditor violation, chaos injection, or a transaction reaching
  * `--postmortem-on-abort=N` aborts — the recorder reconstructs the
- * transitive abort-causality DAG (who killed whom, back K generations)
+ * transitive abort-causality DAG (who killed whom, back 8 generations)
  * into a bounded PostmortemReport. Nodes are *abort events* (tx,
  * tick), not transactions, and every edge points from a victim's abort
  * to an abort of its killer at a strictly earlier tick, so the graph
@@ -23,8 +24,9 @@
  *
  * Reconciliation invariants (pinned by the checker and tests):
  *  - wasted-tick totals, including the ticks of records dropped from
- *    the ring, sum exactly to the profiler's tx_wasted bucket on runs
- *    that finish before the tick limit;
+ *    the ring, sum exactly to the profiler's aborted_tx_ticks overlay
+ *    charge (both take the one value TxManager::abort computes), and
+ *    stay meaningful without --profile;
  *  - ring overflow is surfaced honestly: `flightrec.dropped_records`
  *    counts evicted records so truncated forensics never read as
  *    complete.
@@ -92,15 +94,8 @@ struct FlightRecord
     std::uint64_t sptMisses = 0;
     std::uint64_t tavMisses = 0;
     std::uint64_t shadowAllocs = 0;
-    /** Profiler-retired wasted ticks attributed to this tx. */
+    /** Attempt ticks of this tx's aborted attempts, summed. */
     Tick wastedTicks = 0;
-    /**
-     * Wall ticks of aborted attempts (attempt begin to abort, summed).
-     * Unlike wastedTicks this includes stall time, so it stays
-     * meaningful for workloads whose in-transaction execution is pure
-     * memory traffic.
-     */
-    Tick lostTicks = 0;
 
     /** Newest-last ring of the most recent aborts (by abortCount). */
     FlightAbortEvent recentAborts[maxAborts];
@@ -168,12 +163,11 @@ struct ForensicsSnapshot
     bool enabled = false;
     bool armed = false;
     unsigned depth = 0;
-    unsigned generations = 0;
     std::uint64_t liveRecords = 0;
     std::uint64_t retiredRecords = 0;
     std::uint64_t droppedRecords = 0;
     /** Wasted ticks across live + retired + dropped records; equals
-     *  the profiler's tx_wasted bucket on runs that complete. */
+     *  the profiler's aborted_tx_ticks overlay charge. */
     Tick wastedTicksTotal = 0;
     Tick droppedWastedTicks = 0;
     Tick maxWastedTicks = 0;
@@ -195,18 +189,23 @@ struct ForensicsSnapshot
 class FlightRecorder
 {
   public:
+    /** Generations of abort causality the post-mortem DAG walks. */
+    static constexpr unsigned generations = 8;
+
     explicit FlightRecorder(const ForensicsParams &params);
 
-    /** @name Recording hooks (TxManager / Core / Vts) */
+    /** @name Recording hooks (TxManager / Vts) */
     /// @{
     void onBegin(TxId id, ThreadId thread, ProcId proc, Tick now);
     void onRestart(TxId id, Tick now, unsigned attempts);
-    /** @p winner is the killer tx (invalidTxId when unattributable). */
+    /**
+     * @p winner is the killer tx (invalidTxId when unattributable);
+     * @p attemptTicks is the aborted attempt's length, added to the
+     * record's wasted ticks.
+     */
     void onAbort(TxId id, Tick now, std::uint8_t cause, Addr where,
-                 TxId winner);
+                 TxId winner, Tick attemptTicks);
     void onCommit(TxId id, Tick now);
-    /** Profiler retired @p amount wasted ticks against @p id. */
-    void onWasted(TxId id, Tick amount);
     void onSptMiss(TxId id);
     void onTavMiss(TxId id);
     void onShadowAlloc(TxId id);

@@ -142,17 +142,15 @@ CycleProfiler::doPop(unsigned core)
     l.stack.pop_back();
 }
 
-Tick
+void
 CycleProfiler::doResolveTx(unsigned core, bool committed)
 {
     Lane &l = lane(core);
     accrue(l, now());
     ProfBucket to =
         committed ? ProfBucket::TxUseful : ProfBucket::TxWasted;
-    Tick retired = l.pending;
-    l.buckets[unsigned(to)] += retired;
+    l.buckets[unsigned(to)] += l.pending;
     l.pending = 0;
-    return retired;
 }
 
 void

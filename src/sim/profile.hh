@@ -18,13 +18,16 @@
  * scopes). Because attribution happens on transition — never by
  * re-deriving elapsed time — exactness holds by construction.
  *
- * Committed vs. wasted work: execution ticks inside a transaction
- * accrue into a per-core *pending pot* (the outcome is unknown while
- * the attempt runs) and are retired into TxUseful or TxWasted when the
- * attempt commits or aborts. A transactional thread that migrates off
- * a core mid-attempt has its pot retired optimistically at switch
- * time, keeping the pot core-local (per-core exactness) at the cost of
- * slight attribution optimism across migrations.
+ * Committed vs. wasted execution: execution ticks inside a
+ * transaction accrue into a per-core *pending pot* (the outcome is
+ * unknown while the attempt runs) and are retired into TxUseful or
+ * TxWasted when the attempt commits or aborts. In-transaction stalls
+ * keep their own buckets, so these two hold execution only (0 on
+ * workloads made of nothing but memory operations). A transactional
+ * thread that migrates off a core mid-attempt has its pot retired
+ * optimistically at switch time, keeping the pot core-local (per-core
+ * exactness) at the cost of slight attribution optimism across
+ * migrations.
  *
  * Supervisor overlay: VTS/VTM metadata walks, cleanup walks, overflow
  * spills and OS fault/swap handling fold their latencies into bus
@@ -33,6 +36,13 @@
  * into a separate overlay (ProfCharge) that *overlaps* core stall
  * time; it answers "how many cycles did the supervisor structures
  * consume", not "which core ticks were those".
+ *
+ * Outcome time: the overlay's CommittedTxTicks / AbortedTxTicks are
+ * the attempt ticks (attempt begin or restart to logical commit or
+ * abort, stalls included), computed once by the TxManager. The flight
+ * recorder takes the same value for each abort, so its wasted-tick
+ * total equals AbortedTxTicks exactly; this is the useful/wasted split
+ * of the paper's Figure 6.
  *
  * Everything is disabled by default: each recording call is a single
  * branch when the profiler is off (Tracer-style), and un-wired
@@ -120,8 +130,6 @@ struct ProfileParams
     bool enabled = false;
     /** Enable host-side event-loop profiling (--host-profile). */
     bool host = false;
-    /** Measure host time of every Nth executed event. */
-    unsigned hostSampleInterval = 32;
 };
 
 /** By-value capture of a CycleProfiler for results/serialization. */
@@ -164,6 +172,9 @@ struct ProfSnapshot
  */
 struct HostProfile
 {
+    /** Host time is measured for every sampleInterval-th event. */
+    static constexpr unsigned sampleInterval = 32;
+
     struct Site
     {
         std::string name;
@@ -173,14 +184,13 @@ struct HostProfile
 
         /** Sampled time scaled to the full event count. */
         std::uint64_t
-        estimatedNs(unsigned interval) const
+        estimatedNs() const
         {
-            return sampledNs * interval;
+            return sampledNs * sampleInterval;
         }
     };
 
     bool enabled = false;
-    unsigned sampleInterval = 0;
     std::vector<Site> sites;
 };
 
@@ -247,16 +257,12 @@ class CycleProfiler
      * Retire @p core's pending pot into TxUseful (@p committed) or
      * TxWasted. The current phase is unchanged; callers set() the next
      * phase immediately after.
-     * @return the retired pot in ticks (0 when disabled) — the flight
-     *         recorder attributes wasted amounts per transaction with
-     *         it, so forensic sums reconcile with the tx_wasted bucket.
      */
-    Tick
+    void
     resolveTx(unsigned core, bool committed)
     {
         if (enabled_)
-            return doResolveTx(core, committed);
-        return 0;
+            doResolveTx(core, committed);
     }
 
     /**
@@ -309,7 +315,7 @@ class CycleProfiler
     void doSet(unsigned core, std::uint8_t b);
     void doPush(unsigned core, std::uint8_t b);
     void doPop(unsigned core);
-    Tick doResolveTx(unsigned core, bool committed);
+    void doResolveTx(unsigned core, bool committed);
     void doCollapse(unsigned core, std::uint8_t b);
     void accrue(Lane &lane, Tick now);
     Lane &lane(unsigned core);

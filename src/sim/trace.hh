@@ -43,7 +43,7 @@ enum class TraceCat : std::uint32_t
     Cache    = 1u << 4, //!< evictions, overflow spills, writebacks
     Os       = 1u << 5, //!< context switches
     Watch    = 1u << 6, //!< watchpoint hits (--watch-addr)
-    Sample   = 1u << 7, //!< periodic counter samples
+    Sample   = 1u << 7, //!< counter samples every timeseries.interval
     Chaos    = 1u << 8, //!< fault injections, watchdog trips
     Persist  = 1u << 9, //!< WAL appends, ordered flushes, crash cuts
 };
@@ -219,8 +219,6 @@ struct TraceParams
     std::uint32_t categories = traceCatAll;
     /** Ring-buffer capacity, in events. */
     std::size_t bufferEvents = std::size_t(1) << 16;
-    /** Ticks between periodic counter samples. */
-    Tick sampleInterval = 100000;
     /** Watched address (invalidAddr = no watchpoint). */
     Addr watchAddr = invalidAddr;
 };

@@ -205,12 +205,12 @@ TxManager::doLogicalCommit(Transaction &tx)
         starvation_holder_ = invalidTxId; // token released by commit
     tracer_->record(TraceEventType::TxCommit, traceNoId, tx.thread,
                     tx.id);
-    prof_->charge(ProfCharge::CommittedTxTicks,
-                  prof_->now() - tx.beginTick);
+    const Tick at = curTick();
+    prof_->charge(ProfCharge::CommittedTxTicks, at - tx.beginTick);
     if (clock_)
-        commitLatency.sample(double(clock_() - tx.firstBeginTick));
+        commitLatency.sample(double(at - tx.firstBeginTick));
     if (fr_)
-        fr_->onCommit(tx.id, clock_ ? clock_() : 0);
+        fr_->onCommit(tx.id, at);
 
     if (onLogicalCommit)
         onLogicalCommit(tx.id);
@@ -270,13 +270,16 @@ TxManager::abort(TxId id, AbortReason why, Addr where, TxId winner)
     // heatmap per-page sums reconcile with them exactly.
     if (heat_)
         heat_->recordAbort(unsigned(why), where);
+    // The attempt's length, once, for both the overlay and the
+    // recorder: their wasted totals agree by construction.
+    const Tick at = curTick();
+    const Tick attempt_ticks = at - tx->beginTick;
     if (fr_)
-        fr_->onAbort(id, clock_ ? clock_() : 0, std::uint8_t(why),
-                     where, winner);
+        fr_->onAbort(id, at, std::uint8_t(why), where, winner,
+                     attempt_ticks);
     tracer_->record(TraceEventType::TxAbort, traceNoId, tx->thread, id,
                     invalidTxId, std::uint64_t(why));
-    prof_->charge(ProfCharge::AbortedTxTicks,
-                  prof_->now() - tx->beginTick);
+    prof_->charge(ProfCharge::AbortedTxTicks, attempt_ticks);
 
     if (tx->ordered) {
         OrderedScope &sc = scopes_[tx->scope];

@@ -248,7 +248,10 @@ class TxManager
      * Attach the simulation clock (System wiring). Unlike the
      * profiler — which is only wired when profiling is enabled — the
      * clock is wired unconditionally so the commit-latency
-     * distribution is always populated.
+     * distribution and the flight recorder's attempt ticks are always
+     * populated. It is the one time source of outcome accounting: the
+     * attempt ticks charged to the profiler overlay and handed to the
+     * recorder are the same value.
      */
     void setClock(std::function<Tick()> c) { clock_ = std::move(c); }
 
@@ -294,6 +297,8 @@ class TxManager
     };
 
     void doLogicalCommit(Transaction &tx);
+    /** Current tick per the attached clock (0 when un-wired). */
+    Tick curTick() const { return clock_ ? clock_() : 0; }
 
     Tracer *tracer_ = &Tracer::nil();
     CycleProfiler *prof_ = &CycleProfiler::nil();

@@ -136,7 +136,6 @@ TEST(CliSystemOptions, RejectsBadValues)
           {"--watch-addr", "zz"},
           {"--chaos-interval", "0"},
           {"--chaos-plan", "bogus"},
-          {"--host-profile-interval", "0"},
           {"--durability", "sometimes"},
           {"--wal-file", "-"},
           {"--wal-bytes-per-cycle", "0"},

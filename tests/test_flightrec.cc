@@ -4,9 +4,9 @@
  * forensics: the starvation-grant post-mortem must name the actual
  * killer chain (every DAG node cross-checked against the traced
  * TxAbort / ConflictEdge events of the same run), wasted-tick totals
- * must reconcile exactly with the cycle profiler, ring overflow must
- * be counted without losing totals, and forensics must never perturb
- * simulated timing.
+ * must reconcile exactly with the profiler's aborted-attempt ticks,
+ * ring overflow must be counted without losing totals, and forensics
+ * must never perturb simulated timing.
  */
 
 #include <gtest/gtest.h>
@@ -158,9 +158,17 @@ TEST(FlightRecorder, StarvationGrantPostmortemMatchesTrace)
     EXPECT_GT(chained, 0u) << "no grant post-mortem had a killer chain";
 }
 
+/** Overlay total of the attempt ticks of aborted attempts. */
+std::uint64_t
+abortedTxTicks(const System &sys)
+{
+    return sys.profiler().snapshot().charges[std::size_t(
+        ProfCharge::AbortedTxTicks)];
+}
+
 /**
- * The recorder's wasted-tick total must equal the profiler's
- * TxWasted bucket summed over cores — exactly, not approximately.
+ * The recorder's wasted-tick total must equal the profiler overlay's
+ * aborted-attempt ticks — exactly, not approximately.
  */
 TEST(FlightRecorder, WastedTicksReconcileWithProfiler)
 {
@@ -174,10 +182,7 @@ TEST(FlightRecorder, WastedTicksReconcileWithProfiler)
     addCounterThreads(sys, p, 4, 20);
     sys.run();
 
-    ProfSnapshot ps = sys.profiler().snapshot();
-    std::uint64_t wasted = 0;
-    for (const auto &core : ps.cores)
-        wasted += core[std::size_t(ProfBucket::TxWasted)];
+    std::uint64_t wasted = abortedTxTicks(sys);
     ASSERT_GT(wasted, 0u) << "the contended run aborted nothing";
 
     ForensicsSnapshot fs = sys.flightrec()->snapshot();
@@ -207,12 +212,7 @@ TEST(FlightRecorder, RingDropsCountedWithoutLosingTotals)
     ForensicsSnapshot fs = sys.flightrec()->snapshot();
     EXPECT_GT(fs.droppedRecords, 0u);
     EXPECT_GT(fs.droppedWastedTicks, 0u);
-
-    ProfSnapshot ps = sys.profiler().snapshot();
-    std::uint64_t wasted = 0;
-    for (const auto &core : ps.cores)
-        wasted += core[std::size_t(ProfBucket::TxWasted)];
-    EXPECT_EQ(fs.wastedTicksTotal, wasted);
+    EXPECT_EQ(fs.wastedTicksTotal, abortedTxTicks(sys));
 }
 
 Tick

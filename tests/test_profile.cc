@@ -236,29 +236,37 @@ TEST(EventQueue, PerPriorityExecutedCounts)
 
 TEST(EventQueue, HostProfileCountsPerSite)
 {
+    constexpr unsigned n = HostProfile::sampleInterval;
     EventQueue eq;
-    eq.enableHostProfile(1); // sample every event
+    eq.enableHostProfile();
     std::uint16_t site = eq.siteId("test.site");
     EXPECT_EQ(site, eq.siteId("test.site")) << "ids must be interned";
-    for (int i = 0; i < 5; ++i)
+    // Two sampling periods of events. The default-site event runs
+    // first (Memory before Cpu at tick 0), so the sampled ones, the
+    // n-th and 2n-th executed, are both at the tagged site.
+    for (unsigned i = 0; i < 2 * n - 1; ++i)
         eq.scheduleIn(Tick(i), EventPriority::Cpu, [] {}, site);
-    eq.scheduleIn(1, EventPriority::Memory, [] {}); // default site
+    eq.scheduleIn(0, EventPriority::Memory, [] {}); // default site
     ASSERT_TRUE(eq.run());
 
     HostProfile h = eq.hostProfile();
     ASSERT_TRUE(h.enabled);
-    EXPECT_EQ(h.sampleInterval, 1u);
-    std::uint64_t site_events = 0, mem_events = 0;
+    std::uint64_t site_events = 0, site_sampled = 0, mem_events = 0,
+                  mem_sampled = 0;
     for (const auto &s : h.sites) {
         if (s.name == "test.site") {
             site_events = s.events;
-            EXPECT_EQ(s.sampled, s.events);
+            site_sampled = s.sampled;
         }
-        if (s.name == "memory")
+        if (s.name == "memory") {
             mem_events = s.events;
+            mem_sampled = s.sampled;
+        }
     }
-    EXPECT_EQ(site_events, 5u);
+    EXPECT_EQ(site_events, 2 * n - 1);
+    EXPECT_EQ(site_sampled, 2u);
     EXPECT_EQ(mem_events, 1u);
+    EXPECT_EQ(mem_sampled, 0u);
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * Unit tests for the event tracer (sim/trace) and its sinks
  * (harness/trace_io): ring-buffer wraparound, category filtering,
  * lazy payload suppression, watchpoint address matching, tick order
- * of real captures, and Chrome-export slice balance.
+ * of real captures, the sample event shared with the time series, and
+ * Chrome-export slice balance.
  */
 
 #include <gtest/gtest.h>
@@ -189,6 +190,56 @@ TEST(TraceIntegration, LifecycleEventsComeInPairs)
     EXPECT_EQ(cap.dropped, 0u);
     EXPECT_EQ(begins + restarts, commits + aborts);
     EXPECT_EQ(aborts, restarts); // every abort is retried
+}
+
+/** Distinct ticks of a capture's counter samples, in order. */
+std::vector<Tick>
+sampleTicks(const TraceCapture &cap)
+{
+    std::vector<Tick> ticks;
+    for (const TraceEvent &e : cap.events)
+        if (e.type == TraceEventType::CounterSample &&
+            (ticks.empty() || ticks.back() != e.tick))
+            ticks.push_back(e.tick);
+    return ticks;
+}
+
+/**
+ * One Stats-priority event serves both periodic sinks: the trace's
+ * counter samples fall on every time-series boundary up to the first
+ * one after the workload drained, and turning the time series on adds
+ * no event and leaves the trace unchanged.
+ */
+TEST(TraceIntegration, OneSampleEventServesTraceAndTimeseries)
+{
+    SystemParams prm;
+    prm.tmKind = TmKind::SelectPtm;
+    prm.trace.path = "unused";
+    prm.trace.categories = traceCatMask(TraceCat::Sample);
+    prm.timeseries.interval = 20000;
+    ExperimentResult trace_only = runWorkload("fft", prm, 0, 4);
+    prm.timeseries.capture = true;
+    ExperimentResult both = runWorkload("fft", prm, 0, 4);
+
+    std::vector<Tick> ticks = sampleTicks(trace_only.trace);
+    ASSERT_GE(ticks.size(), 2u);
+    for (std::size_t i = 0; i < ticks.size(); ++i)
+        EXPECT_EQ(ticks[i], Tick(i + 1) * prm.timeseries.interval);
+    EXPECT_LT(ticks[ticks.size() - 2], trace_only.cycles);
+    EXPECT_GE(ticks.back(), trace_only.cycles);
+    EXPECT_EQ(trace_only.snapshot.value("events.executed_stats"),
+              double(ticks.size()));
+
+    EXPECT_EQ(sampleTicks(both.trace), ticks);
+    EXPECT_EQ(both.snapshot.value("events.executed_stats"),
+              double(ticks.size()));
+    // The time series closes on each boundary the workload was live
+    // at, then flushes once at the end of the run.
+    const std::vector<TimeseriesInterval> &iv = both.timeseries.intervals;
+    ASSERT_EQ(iv.size(), ticks.size());
+    for (std::size_t i = 0; i + 1 < iv.size(); ++i)
+        EXPECT_EQ(iv[i].t1, ticks[i]);
+    EXPECT_TRUE(iv.back().final_);
 }
 
 TEST(TraceIntegration, JsonlRoundTripsThroughMiniJson)

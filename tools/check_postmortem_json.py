@@ -15,23 +15,28 @@ validates the dump file (concatenated JSON documents):
   * records are sorted by tx id and every record's tx appears in the
     node list;
   * the run's ptm-stats-v1 "forensics" section reconciles: its
-    wasted_ticks_total equals the profiler's tx_wasted bucket summed
-    over cores (runs that finish before the tick limit), and the
-    number of dumped documents equals forensics.postmortems;
+    wasted_ticks_total equals the profile's
+    supervisor.aborted_tx_ticks (both are the attempt ticks TxManager
+    computes once per abort) and is non-zero when tx.aborts is, and
+    the number of dumped documents equals forensics.postmortems;
+  * the trace agrees: with a tx-only trace and a recorder that drop
+    nothing, trace_analyze's wasted and useful ticks equal
+    supervisor.aborted_tx_ticks and committed_tx_ticks;
   * off by default: a run without --postmortem / --postmortem-on-abort
     writes no dump, prints no post-mortem block, and reports
     armed=false with zero postmortems.
 
 With --self-test the document validator and the reconciliation check
 run against crafted inputs (bad schema, cyclic edges, dangling edge
-index, tick ordering violation, wasted-tick mismatch) instead of
-driving the simulator.
+index, tick ordering violation, wasted-tick mismatch, a vacuous 0 == 0
+total, a trace that disagrees) instead of driving the simulator.
 
 Usage:
     check_postmortem_json.py PATH_TO_PTM_SIM
     check_postmortem_json.py --self-test
 """
 
+import json
 import os
 import sys
 import tempfile
@@ -78,7 +83,6 @@ RECORD_FIELDS = {
     "tav_misses": int,
     "shadow_allocs": int,
     "wasted_ticks": int,
-    "lost_ticks": int,
     "recent_aborts": list,
 }
 
@@ -203,7 +207,7 @@ def validate_doc(doc, label="doc"):
 
 
 def reconcile_forensics(stats_doc):
-    """Forensics totals vs. the profiler's tx_wasted bucket."""
+    """Forensics totals vs. the profiler's aborted-attempt ticks."""
     forensics = stats_doc.get("forensics")
     if not isinstance(forensics, dict):
         return ["stats json has no forensics section"]
@@ -220,16 +224,33 @@ def reconcile_forensics(stats_doc):
                 f"flightrec.dropped_records {dropped} != forensics "
                 f"section {forensics['dropped_records']}")
 
-    profile = stats_doc.get("profile")
-    hit_limit = stat(stats_doc, "sys.hit_tick_limit", default=0)
-    if isinstance(profile, dict) and not hit_limit:
-        tx_wasted = sum(c.get("ticks", {}).get("tx_wasted", 0)
-                        for c in profile.get("cores", []))
-        if forensics["wasted_ticks_total"] != tx_wasted:
-            errors.append(
-                f"forensics.wasted_ticks_total "
-                f"{forensics['wasted_ticks_total']} != profiler "
-                f"tx_wasted bucket {tx_wasted}")
+    wasted = forensics["wasted_ticks_total"]
+    aborts = stat(stats_doc, "tx.aborts", default=0)
+    if aborts and not wasted:
+        errors.append(f"forensics.wasted_ticks_total is 0 after "
+                      f"{aborts} aborts")
+    aborted = stats_doc.get("profile", {}).get("supervisor", {}).get(
+        "aborted_tx_ticks")
+    if aborted is not None and wasted != aborted:
+        errors.append(
+            f"forensics.wasted_ticks_total {wasted} != profile "
+            f"supervisor.aborted_tx_ticks {aborted}")
+    return errors
+
+
+def sinks_agree(stats_doc, analysis):
+    """The profile's outcome split vs. a trace_analyze digest."""
+    cap = analysis["captures"][0]
+    sup = stats_doc.get("profile", {}).get("supervisor", {})
+    errors = [f"{sink} dropped {n}" for sink, n in (
+        ("trace", cap["dropped"]),
+        ("flight recorder",
+         stats_doc.get("forensics", {}).get("dropped_records"))) if n]
+    for ours, trace in (("aborted_tx_ticks", "wasted_ticks"),
+                        ("committed_tx_ticks", "useful_ticks")):
+        if sup.get(ours) != cap["wasted_work"][trace]:
+            errors.append(f"supervisor.{ours} {sup.get(ours)} != trace "
+                          f"{trace} {cap['wasted_work'][trace]}")
     return errors
 
 
@@ -243,10 +264,18 @@ def check_run(ptm_sim):
     with tempfile.TemporaryDirectory() as tmp:
         pm_path = os.path.join(tmp, "pm.json")
         stats_path = os.path.join(tmp, "stats.json")
-        proc = run_ok(run_args + ["--profile", "--postmortem", pm_path,
-                                  "--stats-json", stats_path])
+        trace = os.path.join(tmp, "tx.jsonl")
+        # Every record and every tx event kept: the sinks must agree.
+        proc = run_ok(run_args + [
+            "--profile", "--postmortem", pm_path, "--stats-json",
+            stats_path, "--flightrec-depth", "4096", "--trace", trace,
+            "--trace-categories", "tx"])
         docs = load_json(pm_path, "postmortem dump", docs=True)
         stats_doc = load_json(stats_path, "stats json")
+        analysis = run_ok([sys.executable, os.path.join(
+            os.path.dirname(os.path.abspath(__file__)),
+            "trace_analyze.py"), trace, "--json"]).stdout
+        errors.extend(sinks_agree(stats_doc, json.loads(analysis)))
 
         if not docs:
             errors.append("armed contended run captured no post-mortem")
@@ -311,8 +340,7 @@ def self_test():
                 "last_begin": 1, "end_tick": 0, "committed": False,
                 "attempts": 2, "aborts": 1, "kills": 0,
                 "spt_misses": 0, "tav_misses": 0, "shadow_allocs": 0,
-                "wasted_ticks": 0, "lost_ticks": 5,
-                "recent_aborts": []}
+                "wasted_ticks": 5, "recent_aborts": []}
 
     def doc(**kw):
         d = {"schema": "ptm-postmortem-v1",
@@ -348,9 +376,9 @@ def self_test():
     d["records"][0]["aborts"] = True
     t.flags(validate_doc(d), "aborts has type bool", "bool as a count")
 
-    # Reconciliation must catch a wasted-tick mismatch and pass the
-    # exact case.
-    def stats(wasted_total, bucket):
+    # Reconciliation must catch a wasted-tick mismatch and a vacuous
+    # 0 == 0 after aborts, and pass the exact case.
+    def stats(wasted_total, aborted, aborts=3, committed=40):
         return {
             "forensics": {
                 "depth": 256, "generations": 8, "armed": True,
@@ -363,14 +391,31 @@ def self_test():
             "groups": {
                 "flightrec": {"dropped_records": {"kind": "counter",
                                                   "value": 0}},
-                "sys": {"hit_tick_limit": {"kind": "scalar",
-                                           "value": 0}}},
-            "profile": {"cores": [{"ticks": {"tx_wasted": bucket}}]},
+                "tx": {"aborts": {"kind": "counter", "value": aborts}}},
+            "profile": {"supervisor": {"aborted_tx_ticks": aborted,
+                                       "committed_tx_ticks": committed}},
         }
 
-    t.flags(reconcile_forensics(stats(10, 12)), "tx_wasted",
+    t.flags(reconcile_forensics(stats(10, 12)), "aborted_tx_ticks",
             "wasted-tick mismatch")
+    t.flags(reconcile_forensics(stats(0, 0)), "is 0 after 3 aborts",
+            "vacuous 0 == 0 reconciliation")
     t.clean(reconcile_forensics(stats(12, 12)), "exact reconciliation")
+    t.clean(reconcile_forensics(stats(0, 0, aborts=0)),
+            "abort-free run")
+
+    def analysis(wasted, useful, dropped=0):
+        return {"captures": [{"dropped": dropped, "wasted_work": {
+            "wasted_ticks": wasted, "useful_ticks": useful}}]}
+
+    t.clean(sinks_agree(stats(12, 12), analysis(12, 40)),
+            "agreeing sinks")
+    t.flags(sinks_agree(stats(12, 12), analysis(11, 40)),
+            "wasted_ticks", "trace wasted ticks off by one")
+    t.flags(sinks_agree(stats(12, 12), analysis(12, 41)),
+            "useful_ticks", "trace useful ticks off by one")
+    t.flags(sinks_agree(stats(12, 12), analysis(12, 40, dropped=5)),
+            "trace dropped 5", "a trace that dropped events")
     return t.report()
 
 

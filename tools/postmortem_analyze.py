@@ -6,7 +6,7 @@ its --postmortem file and reports:
 
   * trigger mix — how many captures each trigger kind produced;
   * killer rankings — transactions ordered by conflicts won (kills),
-    with their abort/attempt counts and lost ticks, aggregated over
+    with their abort/attempt counts and wasted ticks, aggregated over
     every record in the dump (each transaction counted once, from its
     latest snapshot);
   * chain-depth histogram — how deep the abort-causality chains ran,
@@ -80,7 +80,6 @@ def analyze(docs, stats_doc=None, top=10):
             {"tx": r.get("tx"), "kills": r.get("kills", 0),
              "attempts": r.get("attempts", 0),
              "aborts": r.get("aborts", 0),
-             "lost_ticks": r.get("lost_ticks", 0),
              "wasted_ticks": r.get("wasted_ticks", 0),
              "committed": r.get("committed", False)}
             for r in killers],
@@ -105,7 +104,7 @@ def print_report(a):
         tail = " (committed)" if r["committed"] else ""
         print(f"  tx {r['tx']}: kills {r['kills']} "
               f"attempts {r['attempts']} aborts {r['aborts']} "
-              f"lost {r['lost_ticks']} wasted {r['wasted_ticks']}"
+              f"wasted {r['wasted_ticks']}"
               f"{tail}")
 
     print("\nchain depth histogram:")
